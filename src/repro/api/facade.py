@@ -18,8 +18,9 @@ code path:
   engine/example/timeout plumbing.
 
 Requests and responses are plain wire data, so :meth:`Solver.solve_batch`
-can fan requests out to a process pool (via the runner's ``pool_map``) and
-``repro-nay serve`` can accept them over HTTP unchanged.
+can fan requests out to the supervised solve fabric
+(:class:`~repro.engine.supervisor.Supervisor`) and ``repro-nay serve`` can
+accept them over HTTP unchanged.
 """
 
 from __future__ import annotations

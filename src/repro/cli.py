@@ -30,8 +30,10 @@ Subcommands:
   per size) and ``stats`` (grammar + automaton + minimized sizes);
 * ``experiments <name>``    — shorthand for ``python -m repro.experiments``;
 * ``bench``                 — run a perf harness (``--suite fixpoint``,
-  ``logic``, ``domains``, ``grammar``, ``chaos``, ``serve`` or ``all``)
-  and write its versioned ``BENCH_*.json`` artifact.
+  ``logic``, ``domains``, ``grammar``, ``chaos``, ``serve`` or ``all``),
+  write its versioned ``BENCH_*.json`` artifact and exit non-zero when one
+  of the suite's declared gates (:mod:`repro.perf`) fails — at its
+  ``--quick`` bounds on a quick run, its full bounds otherwise.
 
 ``solve``/``check``/``batch``/``serve`` accept ``--store PATH`` (or the
 ``REPRO_NAY_STORE`` environment variable) to name a persistent result
@@ -311,28 +313,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     bench = subparsers.add_parser(
         "bench",
-        help="run a perf harness and write its BENCH_*.json artifact",
+        help="run a perf harness, write its BENCH_*.json artifact and exit "
+        "non-zero if one of its gates fails",
     )
     bench.add_argument(
         "--suite",
         choices=["fixpoint", "logic", "domains", "grammar", "chaos", "serve", "all"],
         default="fixpoint",
-        help="fixpoint: worklist-vs-dense strategies (BENCH_fixpoint.json); "
-        "logic: incremental DPLL(T) core vs the pre-rewrite solver "
-        "(BENCH_logic.json); domains: the columnar evaluation core over an "
-        "example-count sweep (BENCH_domains.json); grammar: tree-automaton "
-        "pruning + memoized-enumerator deltas (BENCH_grammar.json); chaos: "
-        "fault-injected resilience sweep over the solve fabric "
-        "(BENCH_chaos.json); serve: concurrent-client load over the real "
-        "HTTP server with the persistent result store — cold vs warm "
-        "latency/throughput (BENCH_serve.json); all: every timing suite "
-        "(chaos and serve excluded; run them explicitly)",
+        help="the suite to run (writes BENCH_<suite>.json); all: every timing "
+        "suite (chaos and serve excluded; run them explicitly)",
     )
     bench.add_argument(
         "--repeat", type=int, default=3, help="timed repetitions per measurement"
     )
     bench.add_argument(
-        "--quick", action="store_true", help="small sweep for CI smoke runs"
+        "--quick",
+        action="store_true",
+        help="small sweep for CI smoke runs, held to the quick gate bounds",
     )
     bench.add_argument(
         "--out",
@@ -432,55 +429,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if arguments.command == "bench":
         from repro import perf
 
-        suites = (
-            ["fixpoint", "logic", "domains", "grammar"]
-            if arguments.suite == "all"
-            else [arguments.suite]
-        )
-        if arguments.out is not None and len(suites) > 1:
+        names = perf.TIMING_SUITES if arguments.suite == "all" else [arguments.suite]
+        if arguments.out is not None and len(names) > 1:
             print("--out requires a single --suite", file=sys.stderr)
             return 1
-        for suite in suites:
-            if suite == "fixpoint":
-                report = perf.run_perf_suite(
-                    repetitions=arguments.repeat, quick=arguments.quick
-                )
-                print(perf.render_report(report))
-                default_path = perf.DEFAULT_BENCH_PATH
-            elif suite == "domains":
-                report = perf.run_domains_suite(
-                    repetitions=arguments.repeat, quick=arguments.quick
-                )
-                print(perf.render_domains_report(report))
-                default_path = perf.DEFAULT_DOMAINS_BENCH_PATH
-            elif suite == "grammar":
-                report = perf.run_grammar_suite(
-                    repetitions=arguments.repeat, quick=arguments.quick
-                )
-                print(perf.render_grammar_report(report))
-                default_path = perf.DEFAULT_GRAMMAR_BENCH_PATH
-            elif suite == "chaos":
-                report = perf.run_chaos_suite(
-                    repetitions=arguments.repeat, quick=arguments.quick
-                )
-                print(perf.render_chaos_report(report))
-                default_path = perf.DEFAULT_CHAOS_BENCH_PATH
-            elif suite == "serve":
-                report = perf.run_serve_suite(
-                    repetitions=arguments.repeat, quick=arguments.quick
-                )
-                print(perf.render_serve_report(report))
-                default_path = perf.DEFAULT_SERVE_BENCH_PATH
-            else:
-                report = perf.run_logic_suite(
-                    repetitions=arguments.repeat, quick=arguments.quick
-                )
-                print(perf.render_logic_report(report))
-                default_path = perf.DEFAULT_LOGIC_BENCH_PATH
+        failed = False
+        for name in names:
+            suite = perf.SUITES[name]
+            report = perf.run_suite(suite, arguments.repeat, arguments.quick)
+            results = perf.check_gates(suite, report, perf.load_committed(suite))
+            print(perf.render(suite, report, results))
             if arguments.out != "-":
-                target = perf.write_report(report, arguments.out or default_path)
+                target = perf.write_report(report, arguments.out or suite.artifact)
                 print(f"wrote {target}")
-        return 0
+            failed = failed or not all(result.passed for result in results)
+        return 1 if failed else 0
 
     if arguments.command == "experiments":
         passthrough = [arguments.name, "--workers", str(arguments.workers)]

@@ -15,8 +15,9 @@ Design points:
   and every worker warms its own :mod:`repro.engine.cache`.
 * **One execution core.**  ``check``/``solve`` tasks delegate the actual
   solving to :func:`repro.api.facade.run_engine`, the same code path behind
-  the CLI, ``repro-nay serve`` and the portfolio; the pool plumbing itself
-  (:func:`pool_map`) is likewise shared with the api's ``solve_batch``.
+  the CLI, ``repro-nay serve`` and the portfolio.  The pool plumbing
+  (:func:`pool_map`) is the runner's own: the api's ``solve_batch`` runs on
+  the supervised solve fabric (:mod:`repro.engine.supervisor`) instead.
 * **Deterministic ordering.**  Rows come back in task order regardless of
   worker count or completion order; ``workers=1`` and ``workers=N`` produce
   identical stable fields (see :mod:`repro.engine.results`).

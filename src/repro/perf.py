@@ -1,64 +1,41 @@
 """The repeatable perf harnesses behind ``repro-nay bench``.
 
-Four suites live here, selected with ``--suite``:
+Six suites live here, selected with ``--suite``.  Each is a :class:`Suite`
+declaration of one shape: the artifact it writes, its schema version, a
+``run(repetitions, quick)`` that returns its rows and summary, the columns
+the shared renderer prints, and its :class:`Gate` bounds.  One timer
+(:func:`timed`), one report envelope (:func:`run_suite`), one renderer
+(:func:`render`) and one gate checker (:func:`check_gates`) serve all six,
+and ``repro-nay bench`` exits non-zero when a gate on the report it just
+produced fails (``--quick`` runs are held to the quick bounds, full runs —
+the ones that get committed — to the full bounds).
 
 * ``fixpoint`` (default) — every workload measured for both fixpoint
-  strategies (``worklist`` vs ``dense``, see :mod:`repro.gfa.fixpoint`)
-  *in the same run*, written to ``BENCH_fixpoint.json``;
-* ``logic`` — the DPLL(T) core harness: records the **query streams of real
-  workloads** (the fig2 exact-Newton sweep, Table 1/2 benchmark checks) via
-  :func:`repro.logic.solver.record_queries` and replays each stream through
-  the incremental solver *and* the preserved pre-rewrite baseline
-  (:mod:`repro.logic.reference`) in the same run, writing queries/sec,
-  simplex pivots, lemma hits and cache hits to ``BENCH_logic.json``.
-  Verdict agreement between the two stacks is asserted before timing.
-* ``domains`` — the columnar evaluation core harness: an example-count
-  sweep (|E| = 10 → 5000) over the batched-evaluation hot paths, each
-  measured through up to three legs in the same run — ``reference`` (the
-  frozen pre-columnar twins in :mod:`repro.semantics.reference` and
-  :mod:`repro.domains.reference`), ``python`` (the columnar code on the
-  pure-Python backend) and ``numpy`` (the same code on the numpy backend,
-  absent when numpy is not installed).  Result agreement across legs is
-  asserted before timing; ``examples_per_sec`` and leg-vs-leg speedups go
-  to ``BENCH_domains.json``.
+  strategies (``worklist`` vs ``dense``, see :mod:`repro.gfa.fixpoint`) in
+  the same run: Kleene chains, the fig2 exact-Newton and fig3 abstract
+  sweeps, semi-linear domain micro-operations, end-to-end ``Solver.solve``
+  and the ``nayInt``/``nayFin``/``staged`` engines on a fixed slate.
+* ``logic`` — recorded query streams of real workloads (the fig2
+  exact-Newton sweep, Table 1/2 benchmark checks, seeded random QF-LIA)
+  replayed through the incremental DPLL(T) core and the preserved
+  pre-rewrite baseline (:mod:`repro.logic.reference`) in the same run.
+* ``domains`` — the columnar evaluation core over an example-count sweep,
+  each workload through up to three legs: ``reference`` (the frozen
+  pre-columnar twins), ``python`` and ``numpy`` (the columnar code on
+  either :mod:`repro.utils.columns` backend; absent without numpy).
+* ``grammar`` — observational-equivalence pruning on fig2/fig3-style solves
+  and the memoized enumerator raced against the frozen reference one.
 * ``chaos`` — the resilience sweep over the supervised solve fabric
-  (:mod:`repro.engine.supervisor`): a slate of fault-injected requests
-  (crash, hang, slow, corrupt, oom, error — plus a real ``kill -9`` of a
-  busy worker mid-solve) driven through :meth:`Supervisor.solve`, asserting
-  that every request comes back as a well-formed
-  :class:`~repro.api.wire.SolveResponse`, that the pool self-heals (clean
-  requests succeed on replaced workers afterwards), and that a tripped
-  circuit breaker recovers through its half-open probe.  Retries, worker
-  replacements, breaker trips and injected-fault counts go to
-  ``BENCH_chaos.json``.
+  (:mod:`repro.engine.supervisor`): fault-injected requests (crash, hang,
+  slow, corrupt, oom, error, plus a real ``kill -9`` of a busy worker)
+  that must all come back as well-formed responses.
+* ``serve`` — concurrent clients against the real HTTP server, fabric and
+  a fresh persistent result store: cold, warm-repeat and mixed streams.
 
-Both artifacts are versioned; medians are compared like with like on the
-same machine and interpreter state, giving future changes a perf trajectory
-to compare against (see DESIGN.md).
-
-Fixpoint workload groups:
-
-* ``kleene``  — pure solver microbenchmark: Kleene iteration on synthetic
-  chain systems over the Boolean semiring (the worst case for dense
-  iteration: information flows one edge per round);
-* ``fig2``    — the paper's Fig. 2 scaling workload: exact semi-linear-set
-  solving (stratified Newton) of chain grammars, |N| x |E| sweep;
-* ``fig3``    — the Fig. 3/5 scaling workload: the approximate product-domain
-  engine on the same chain grammars;
-* ``semilinear`` — micro-operations of the semi-linear domain (combine /
-  extend / star / simplify);
-* ``solve``   — end-to-end ``Solver.solve`` through the public api facade on
-  a scaling benchmark (worklist strategy only; the facade always runs the
-  default strategy);
-* ``domains`` — the pluggable domain engines (``nayInt``, ``nayFin``) and
-  the ``staged`` strategy checking a fixed benchmark slate through the api
-  facade (worklist only).  The ``evaluations`` column records how many of
-  the slate's instances the engine decided, so a precision regression in a
-  cheap domain shows up in the artifact next to its timing.
-
-Fairness: the process-wide memo tables (GFA cache, simplification memos) are
-cleared before *every* timed repetition, so neither strategy warms the cache
-for the other.
+Every suite that compares two implementations asserts they agree before
+timing, and the process-wide memo tables are cleared before every timed
+repetition so no leg warms the caches for another.  Field-by-field schemas:
+``docs/bench-artifacts.md``.
 """
 
 from __future__ import annotations
@@ -66,6 +43,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -74,8 +52,7 @@ from repro.engine.registry import create_engine
 from repro.gfa.equations import EquationSystem, Monomial, Polynomial
 from repro.gfa.fixpoint import DENSE, STRATEGIES, WORKLIST, FixpointStats
 from repro.gfa.kleene import solve_kleene
-from repro.gfa.semiring import BooleanSemiring, SemiLinearSemiring
-from repro.gfa.stratify import equation_strata
+from repro.gfa.semiring import BooleanSemiring
 from repro.domains.reference import ReferenceIntervalDomain
 from repro.domains.registry import create_domain
 from repro.domains.semilinear import LinearSet, SemiLinearSet
@@ -99,38 +76,224 @@ from repro.utils.columns import NUMPY_OPS, use_backend
 from repro.utils.errors import ReproError
 from repro.utils.vectors import IntVector
 
-#: Version of the BENCH_fixpoint.json schema.
-#:
-#: * **2** — added the ``certification`` section: per-engine counts of
-#:   unrealizable verdicts whose certificates the independent checker
-#:   (:mod:`repro.analysis.certcheck`) accepted, over a fixed slate.
-BENCH_SCHEMA_VERSION = 2
-
-#: Version of the BENCH_logic.json schema.
-LOGIC_BENCH_SCHEMA_VERSION = 1
-
-#: Version of the BENCH_domains.json schema (see docs/bench-artifacts.md).
-DOMAINS_BENCH_SCHEMA_VERSION = 1
-
-#: Version of the BENCH_chaos.json schema (the fault-injection sweep over
-#: the solve fabric; see docs/architecture/fabric.md).
-CHAOS_BENCH_SCHEMA_VERSION = 1
-
-#: Version of the BENCH_serve.json schema (the concurrent-client load
-#: harness over the HTTP server + persistent result store; see
-#: docs/bench-artifacts.md).
-SERVE_BENCH_SCHEMA_VERSION = 1
-
-#: Default artifact paths (repo root when run from a checkout).
-DEFAULT_BENCH_PATH = "BENCH_fixpoint.json"
-DEFAULT_LOGIC_BENCH_PATH = "BENCH_logic.json"
-DEFAULT_DOMAINS_BENCH_PATH = "BENCH_domains.json"
-DEFAULT_CHAOS_BENCH_PATH = "BENCH_chaos.json"
-DEFAULT_SERVE_BENCH_PATH = "BENCH_serve.json"
+Report = Dict[str, object]
 
 
 # ---------------------------------------------------------------------------
-# Workload definitions
+# The harness: suites, gates, timer, envelope, renderer
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Gate:
+    """A bound on one report value.
+
+    ``key`` names a ``summary`` entry and ``op`` is ``">="``, ``"<="`` or
+    ``"=="``.  ``full`` bounds full runs (the committed artifacts) and
+    ``quick`` bounds ``--quick`` runs; ``None`` leaves that kind of run
+    ungated.  A ``relative`` gate instead reads the dotted row field
+    ``key`` of every row that the committed artifact also has, and bounds
+    it by ``bound x`` the committed row's value.
+    """
+
+    key: str
+    op: str
+    full: object
+    quick: object
+    relative: bool = False
+
+
+@dataclass(frozen=True)
+class GateResult:
+    """The outcome of one gate (or, for a relative gate, one row of it)."""
+
+    suite: str
+    key: str
+    op: str
+    bound: object
+    value: object
+    passed: bool
+    note: str = ""
+
+    def describe(self) -> str:
+        value = "missing" if self.value is None else _format_value(self.value)
+        note = f" ({self.note})" if self.note else ""
+        verdict = "PASS" if self.passed else "FAIL"
+        return (
+            f"{self.suite}: {self.key} {self.op} {_format_value(self.bound)}"
+            f"{note}: {value} {verdict}"
+        )
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One ``repro-nay bench`` suite.
+
+    ``run(repetitions, quick)`` returns the report body: the rows under
+    ``rows_key``, a ``summary`` dict, and any suite-specific extras.
+    ``columns`` are ``(header, dotted row path, format spec)`` triples.
+    """
+
+    name: str
+    artifact: str
+    schema_version: int
+    run: Callable[[int, bool], Report]
+    columns: Tuple[Tuple[str, str, str], ...]
+    gates: Tuple[Gate, ...] = ()
+    rows_key: str = "workloads"
+
+
+def timed(run: Callable[[], object], repetitions: int) -> Tuple[List[float], object]:
+    """Wall seconds of ``repetitions`` calls of ``run``, each from cold
+    process-wide caches, plus the last call's return value."""
+    seconds: List[float] = []
+    result: object = None
+    for _ in range(repetitions):
+        clear_cache()
+        started = time.perf_counter()
+        result = run()
+        seconds.append(time.perf_counter() - started)
+    return seconds, result
+
+
+def timing_cell(
+    seconds: Sequence[float], items: Optional[int] = None, rate: str = ""
+) -> Dict[str, object]:
+    """Median/min of a timed leg; ``rate`` names an ``items / median`` field."""
+    median = statistics.median(seconds)
+    cell: Dict[str, object] = {
+        "median_seconds": median,
+        "min_seconds": min(seconds),
+        "repetitions": len(seconds),
+    }
+    if rate:
+        cell[rate] = (items / median) if median > 0 else None
+    return cell
+
+
+def run_suite(suite: Suite, repetitions: int = 3, quick: bool = False) -> Report:
+    """Run ``suite`` and wrap its rows and summary in the shared envelope."""
+    body = suite.run(repetitions, quick)
+    return {
+        "schema_version": suite.schema_version,
+        "suite": suite.name,
+        "created_unix": int(time.time()),
+        "repetitions": repetitions,
+        "quick": quick,
+        **body,
+    }
+
+
+def _lookup(row: object, path: str) -> object:
+    for part in path.split("."):
+        if not isinstance(row, dict):
+            return None
+        row = row.get(part)
+    return row
+
+
+def _holds(value: object, op: str, bound: object) -> bool:
+    if op == "==":
+        return value == bound
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False  # missing, None or non-numeric: the gate cannot hold
+    return value >= bound if op == ">=" else value <= bound
+
+
+def load_committed(suite: Suite) -> Optional[Report]:
+    """The committed artifact a relative gate compares against, if any."""
+    if not any(gate.relative for gate in suite.gates):
+        return None
+    try:
+        return json.loads(Path(suite.artifact).read_text())
+    except (OSError, ValueError):
+        return None
+
+
+def check_gates(
+    suite: Suite, report: Report, committed: Optional[Report] = None
+) -> List[GateResult]:
+    """Every gate of ``suite`` on ``report``, at the bounds its run kind
+    (``report["quick"]``) selects; a missing value fails by name."""
+    results: List[GateResult] = []
+    summary = report.get("summary") or {}
+    for gate in suite.gates:
+        bound = gate.quick if report.get("quick") else gate.full
+        if bound is None:
+            continue
+        if not gate.relative:
+            value = summary.get(gate.key)
+            results.append(
+                GateResult(
+                    suite.name, gate.key, gate.op, bound, value,
+                    _holds(value, gate.op, bound),
+                )
+            )
+            continue
+        if committed is None:
+            results.append(
+                GateResult(
+                    suite.name, gate.key, gate.op, bound, None, False,
+                    f"x the committed {suite.artifact}, which could not be read",
+                )
+            )
+            continue
+        baseline = {row["name"]: row for row in committed.get(suite.rows_key, [])}
+        for row in report.get(suite.rows_key, []):
+            base = baseline.get(row["name"])
+            old = _lookup(base, gate.key)
+            new = _lookup(row, gate.key)
+            if base is None or not old or not new:
+                continue  # a quick-only row, or nothing to compare
+            limit = bound * old
+            results.append(
+                GateResult(
+                    suite.name, f"{gate.key}[{row['name']}]", gate.op, limit,
+                    new, _holds(new, gate.op, limit),
+                    f"{bound} x committed {_format_value(old)}",
+                )
+            )
+    return results
+
+
+def _format_value(value: object, spec: str = "") -> str:
+    if value is None or isinstance(value, (dict, list)):
+        return "-"
+    if isinstance(value, float) and not spec:
+        spec = ".2f"
+    return format(value, spec)
+
+
+def render(suite: Suite, report: Report, results: Sequence[GateResult] = ()) -> str:
+    """Rows as a table, then the summary, then every gate with PASS/FAIL."""
+    table = [[header for header, _, _ in suite.columns]]
+    for row in report[suite.rows_key]:
+        table.append(
+            [_format_value(_lookup(row, path), spec) for _, path, spec in suite.columns]
+        )
+    widths = [max(len(line[index]) for line in table) for index in range(len(table[0]))]
+    lines = [
+        " ".join(
+            cell.ljust(width) if index == 0 else cell.rjust(width)
+            for index, (cell, width) in enumerate(zip(line, widths))
+        )
+        for line in table
+    ]
+    for key, value in sorted(report["summary"].items()):
+        lines.append(f"  {key}: {_format_value(value)}")
+    for result in results:
+        lines.append(f"  gate {result.describe()}")
+    return "\n".join(lines)
+
+
+def write_report(report: Report, path: str | Path) -> Path:
+    target = Path(path)
+    target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return target
+
+
+# ---------------------------------------------------------------------------
+# fixpoint: worklist vs dense (BENCH_fixpoint.json)
 # ---------------------------------------------------------------------------
 
 
@@ -168,17 +331,11 @@ DENSE_STRATIFIED = "dense_stratified"
 
 def _run_fig2(nonterminals: int, examples: int, strategy: str) -> FixpointStats:
     entry = scaling_benchmark(nonterminals)
-    if strategy == DENSE:
-        stratify, solver_strategy = False, DENSE
-    elif strategy == DENSE_STRATIFIED:
-        stratify, solver_strategy = True, DENSE
-    else:
-        stratify, solver_strategy = True, WORKLIST
     solution = solve_lia_gfa(
         entry.problem.grammar,
         example_set(examples),
-        stratify=stratify,
-        strategy=solver_strategy,
+        stratify=strategy != DENSE,
+        strategy=WORKLIST if strategy == WORKLIST else DENSE,
     )
     assert not solution.start_value.is_empty()
     return FixpointStats(strategy, solution.iterations, solution.evaluations)
@@ -202,14 +359,8 @@ def _semilinear_inputs(count: int, dimension: int = 2) -> List[SemiLinearSet]:
     return values
 
 
-def _run_semilinear(count: int, strategy: str) -> FixpointStats:
-    """Micro: fold combine/extend/star/simplify over generated sets.
-
-    The strategy knob is meaningless for pure domain operations; both legs run
-    the identical loop so that the recorded "speedup" reflects the memoized
-    simplification path (cleared before each repetition) staying at 1x-ish.
-    """
-    del strategy
+def _run_semilinear(count: int) -> FixpointStats:
+    """Micro: fold combine/extend/star/simplify over generated sets."""
     values = _semilinear_inputs(count)
     accumulated = SemiLinearSet.empty(2)
     operations = 0
@@ -226,33 +377,56 @@ def _run_semilinear(count: int, strategy: str) -> FixpointStats:
     return FixpointStats(WORKLIST, 1, operations)
 
 
+#: Warm passes of the membership micro-benchmark (one cold pass precedes them).
+CONTAINS_WARM_ROUNDS = 100
+
+
+def _run_contains_warm() -> FixpointStats:
+    """Repeated ``LinearSet.contains`` on one container: after the first pass
+    every query reuses the cached membership context and learned lemmas."""
+    container = LinearSet(IntVector([1, 2]), (IntVector([2, 1]), IntVector([0, 3])))
+    probes = [IntVector([1 + 2 * i, 2 + i]) for i in range(12)]
+    passes = 1 + CONTAINS_WARM_ROUNDS
+    for _ in range(passes):
+        results = [container.contains(probe) for probe in probes]
+    assert results[0] is True
+    return FixpointStats(WORKLIST, passes, passes * len(probes))
+
+
+def _run_interned_construction() -> FixpointStats:
+    """Rebuild 200 linear sets with repeating shapes: every repeat must come
+    back from the intern table."""
+    sets = [
+        LinearSet(
+            IntVector([i % 5, i % 7]), (IntVector([1, i % 3]), IntVector([i % 2, 2]))
+        )
+        for i in range(200)
+    ]
+    assert SemiLinearSet(sets, 2).linear_sets
+    return FixpointStats(WORKLIST, 1, len(sets))
+
+
+@dataclass(frozen=True)
 class Workload:
-    """One named, parameterised measurement."""
+    """One named fixpoint measurement, run once per strategy it lists."""
 
-    def __init__(
-        self,
-        name: str,
-        group: str,
-        run: Callable[[str], FixpointStats],
-        strategies: Sequence[str] = STRATEGIES,
-    ):
-        self.name = name
-        self.group = group
-        self.run = run
-        self.strategies = tuple(strategies)
+    name: str
+    group: str
+    run: Callable[[str], FixpointStats]
+    strategies: Tuple[str, ...] = STRATEGIES
 
 
-def _solver_workload() -> Workload:
+def _single(name: str, group: str, run: Callable[[], FixpointStats]) -> Workload:
+    """A workload without a strategy axis, recorded in the worklist column."""
+    return Workload(name, group, lambda strategy: run(), strategies=(WORKLIST,))
+
+
+def _solve_chain14() -> FixpointStats:
     from repro.api import Solver
 
-    def run(strategy: str) -> FixpointStats:
-        del strategy
-        solver = Solver(engine="naySL", timeout_seconds=120.0)
-        response = solver.solve("chain_14")
-        assert response.error is None, response.error
-        return FixpointStats(WORKLIST, 0, 0)
-
-    return Workload("solve_end_to_end_chain14", "solve", run, strategies=(WORKLIST,))
+    response = Solver(engine="naySL", timeout_seconds=120.0).solve("chain_14")
+    assert response.error is None, response.error
+    return FixpointStats(WORKLIST, 0, 0)
 
 
 #: Benchmark slate the ``domains`` workloads check (cheap-domain-friendly
@@ -260,25 +434,21 @@ def _solver_workload() -> Workload:
 DOMAIN_BENCH_SLATE = ("plane1", "guard1", "mpg_guard1", "max2")
 
 
-def _domain_engine_workload(engine_name: str) -> Workload:
+def _check_domain_slate(engine_name: str) -> FixpointStats:
+    """Check the slate; ``evaluations`` records how many instances the
+    engine decided, so a precision regression shows beside its timing."""
     from repro.api import Solver
 
-    def run(strategy: str) -> FixpointStats:
-        del strategy
-        solver = Solver(engine=engine_name, timeout_seconds=120.0)
-        decided = 0
-        for benchmark in DOMAIN_BENCH_SLATE:
-            response = solver.check(benchmark)
-            assert response.error is None, response.error
-            assert response.verdict != "realizable", (
-                f"{engine_name} claimed realizable on {benchmark}"
-            )
-            decided += response.verdict == "unrealizable"
-        return FixpointStats(WORKLIST, 0, decided)
-
-    return Workload(
-        f"domains_{engine_name}", "domains", run, strategies=(WORKLIST,)
-    )
+    solver = Solver(engine=engine_name, timeout_seconds=120.0)
+    decided = 0
+    for benchmark in DOMAIN_BENCH_SLATE:
+        response = solver.check(benchmark)
+        assert response.error is None, response.error
+        assert response.verdict != "realizable", (
+            f"{engine_name} claimed realizable on {benchmark}"
+        )
+        decided += response.verdict == "unrealizable"
+    return FixpointStats(WORKLIST, 0, decided)
 
 
 #: Benchmark slate the certification sweep checks: one representative per
@@ -289,17 +459,14 @@ CERT_BENCH_SLATE = ("plane1", "plane2", "guard1", "guard2", "mpg_guard1", "max2"
 def _certification_rates(quick: bool = False) -> Dict[str, object]:
     """Per-engine certificate coverage over :data:`CERT_BENCH_SLATE`.
 
-    For every registered engine, check each slate benchmark and count how
-    many ``unrealizable`` verdicts shipped a certificate the independent
-    checker (:func:`repro.analysis.certcheck.check_certificate`) accepts.
-    The rates land in ``BENCH_fixpoint.json`` so a certification regression
-    (an engine silently losing its proof emitter) shows up in the bench
-    diff, not just in CI's dedicated certcheck job.
+    For every registered engine, count how many ``unrealizable`` verdicts
+    shipped a certificate the independent checker
+    (:func:`repro.analysis.certcheck.check_certificate`) accepts, so an
+    engine silently losing its proof emitter shows up in the bench diff.
     """
     from repro.analysis import check_certificate
     from repro.api import Solver
     from repro.engine.registry import engine_names
-    from repro.suites.registry import get_benchmark
 
     slate = CERT_BENCH_SLATE[:2] if quick else CERT_BENCH_SLATE
     rates: Dict[str, object] = {}
@@ -327,21 +494,20 @@ def _certification_rates(quick: bool = False) -> Dict[str, object]:
 
 
 def default_workloads(quick: bool = False) -> List[Workload]:
-    """The standard suite; ``quick`` shrinks the sweep for CI smoke runs."""
+    """The standard fixpoint suite; ``quick`` shrinks the sweep for CI."""
     kleene_sizes = [64] if quick else [64, 256, 1024]
     fig2_points = [(14, 1)] if quick else [(14, 1), (20, 1), (26, 1), (14, 2), (20, 2)]
     fig3_points = [(14, 2)] if quick else [(14, 2), (20, 2), (26, 2), (14, 3), (20, 3)]
     micro_sizes = [16] if quick else [16, 48]
 
-    workloads: List[Workload] = []
-    for size in kleene_sizes:
-        workloads.append(
-            Workload(
-                f"kleene_bool_chain_{size}",
-                "kleene",
-                lambda strategy, size=size: _run_kleene(size, strategy),
-            )
+    workloads: List[Workload] = [
+        Workload(
+            f"kleene_bool_chain_{size}",
+            "kleene",
+            lambda strategy, size=size: _run_kleene(size, strategy),
         )
+        for size in kleene_sizes
+    ]
     for nonterminals, examples in fig2_points:
         workloads.append(
             Workload(
@@ -361,95 +527,73 @@ def default_workloads(quick: bool = False) -> List[Workload]:
         )
     for size in micro_sizes:
         workloads.append(
-            Workload(
-                f"semilinear_micro_{size}",
-                "semilinear",
-                lambda strategy, size=size: _run_semilinear(size, strategy),
-                strategies=(WORKLIST,),
+            _single(
+                f"semilinear_micro_{size}", "semilinear",
+                lambda size=size: _run_semilinear(size),
             )
         )
-    workloads.append(_solver_workload())
+    workloads.append(
+        _single("semilinear_contains_warm", "semilinear", _run_contains_warm)
+    )
+    workloads.append(
+        _single(
+            "semilinear_interned_construction", "semilinear", _run_interned_construction
+        )
+    )
+    workloads.append(_single("solve_end_to_end_chain14", "solve", _solve_chain14))
     for engine_name in ("nayInt", "nayFin", "staged"):
-        workloads.append(_domain_engine_workload(engine_name))
+        workloads.append(
+            _single(
+                f"domains_{engine_name}", "domains",
+                lambda name=engine_name: _check_domain_slate(name),
+            )
+        )
     return workloads
 
 
-# ---------------------------------------------------------------------------
-# Measurement
-# ---------------------------------------------------------------------------
-
-
-def _measure(
-    run: Callable[[str], FixpointStats], strategy: str, repetitions: int
-) -> Dict[str, object]:
-    seconds: List[float] = []
-    stats = FixpointStats(strategy)
-    for _ in range(repetitions):
-        clear_cache()  # no strategy may warm the memo tables for the other
-        started = time.perf_counter()
-        stats = run(strategy)
-        seconds.append(time.perf_counter() - started)
-    return {
-        "median_seconds": statistics.median(seconds),
-        "min_seconds": min(seconds),
-        "repetitions": repetitions,
-        "iterations": stats.iterations,
-        "evaluations": stats.evaluations,
-    }
-
-
-def run_perf_suite(
-    repetitions: int = 3,
-    quick: bool = False,
-    workloads: Optional[Sequence[Workload]] = None,
-) -> Dict[str, object]:
-    """Run every workload under every strategy; return the report dict."""
-    chosen = list(workloads) if workloads is not None else default_workloads(quick)
+def _run_fixpoint(repetitions: int, quick: bool) -> Report:
     rows: List[Dict[str, object]] = []
-    for workload in chosen:
+    for workload in default_workloads(quick):
         row: Dict[str, object] = {"name": workload.name, "group": workload.group}
         for strategy in workload.strategies:
-            row[strategy] = _measure(workload.run, strategy, repetitions)
+            seconds, stats = timed(lambda: workload.run(strategy), repetitions)
+            row[strategy] = {
+                **timing_cell(seconds),
+                "iterations": stats.iterations,
+                "evaluations": stats.evaluations,
+            }
         if WORKLIST in row and DENSE in row:
-            worklist_seconds = row[WORKLIST]["median_seconds"]
-            dense_seconds = row[DENSE]["median_seconds"]
+            worklist, dense = row[WORKLIST], row[DENSE]
             row["speedup"] = (
-                dense_seconds / worklist_seconds if worklist_seconds > 0 else None
+                dense["median_seconds"] / worklist["median_seconds"]
+                if worklist["median_seconds"] > 0
+                else None
             )
-            worklist_evals = row[WORKLIST]["evaluations"]
-            dense_evals = row[DENSE]["evaluations"]
             row["evaluation_ratio"] = (
-                dense_evals / worklist_evals if worklist_evals else None
+                dense["evaluations"] / worklist["evaluations"]
+                if worklist["evaluations"]
+                else None
             )
         rows.append(row)
-
-    report = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "suite": "fixpoint",
-        "created_unix": int(time.time()),
-        "repetitions": repetitions,
-        "quick": quick,
+    return {
         "workloads": rows,
-        "summary": _summarise(rows),
+        "summary": _summarise_fixpoint(rows),
         "certification": _certification_rates(quick),
         "caches": runtime_cache_stats(),
     }
-    return report
 
 
-def _summarise(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
+def _values(rows: Sequence[Dict[str, object]], group: str, key: str) -> List[float]:
+    return [
+        row[key] for row in rows if row["group"] == group and row.get(key) is not None
+    ]
+
+
+def _summarise_fixpoint(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     summary: Dict[str, object] = {}
     for group in ("kleene", "fig2", "fig3"):
-        speedups = [
-            row["speedup"]
-            for row in rows
-            if row["group"] == group and row.get("speedup") is not None
-        ]
-        ratios = [
-            row["evaluation_ratio"]
-            for row in rows
-            if row["group"] == group and row.get("evaluation_ratio") is not None
-        ]
+        speedups = _values(rows, group, "speedup")
+        ratios = _values(rows, group, "evaluation_ratio")
         if speedups:
             summary[f"{group}_min_speedup"] = min(speedups)
             summary[f"{group}_median_speedup"] = statistics.median(speedups)
@@ -458,45 +602,8 @@ def _summarise(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     return summary
 
 
-def render_report(report: Dict[str, object]) -> str:
-    """A compact human-readable table of the report."""
-    lines = [
-        f"{'workload':32s} {'worklist':>10s} {'dense':>10s} {'speedup':>8s} "
-        f"{'evals(w)':>9s} {'evals(d)':>9s}"
-    ]
-    for row in report["workloads"]:
-        worklist = row.get(WORKLIST, {})
-        dense = row.get(DENSE, {})
-
-        def fmt_seconds(cell):
-            return f"{cell['median_seconds']:.4f}" if cell else "-"
-
-        speedup = row.get("speedup")
-        lines.append(
-            f"{row['name']:32s} {fmt_seconds(worklist):>10s} {fmt_seconds(dense):>10s} "
-            f"{(f'{speedup:.1f}x' if speedup else '-'):>8s} "
-            f"{(str(worklist.get('evaluations', '-')) if worklist else '-'):>9s} "
-            f"{(str(dense.get('evaluations', '-')) if dense else '-'):>9s}"
-        )
-    for key, value in sorted(report["summary"].items()):
-        lines.append(f"  {key}: {value:.2f}")
-    for engine_name, cell in sorted(report.get("certification", {}).items()):
-        rate = cell["rate"]
-        lines.append(
-            f"  certified[{engine_name}]: {cell['certified']}/{cell['unrealizable']}"
-            f" ({'-' if rate is None else f'{rate:.0%}'})"
-        )
-    return "\n".join(lines)
-
-
-def write_report(report: Dict[str, object], path: str | Path) -> Path:
-    target = Path(path)
-    target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return target
-
-
 # ---------------------------------------------------------------------------
-# The logic (DPLL(T) core) suite
+# logic: incremental DPLL(T) core vs the pre-rewrite baseline (BENCH_logic.json)
 # ---------------------------------------------------------------------------
 #
 # Each workload is a *captured query stream*: the exact sequence of formulas
@@ -506,18 +613,7 @@ def write_report(report: Dict[str, object], path: str | Path) -> Path:
 # apples-to-apples measure of the solver rewrite alone.
 
 
-class LogicWorkload:
-    """One named query-stream measurement."""
-
-    def __init__(self, name: str, group: str, capture: Callable[[], List[Formula]]):
-        self.name = name
-        self.group = group
-        self.capture = capture
-
-
-def _capture_fig2_stream(
-    points: Sequence[Tuple[int, int]]
-) -> List[Formula]:
+def _capture_fig2_stream(points: Sequence[Tuple[int, int]]) -> List[Formula]:
     """The solver queries of the fig2 exact-Newton scaling sweep.
 
     Every cell runs the full stratified Newton solve (subsumption-based
@@ -530,9 +626,7 @@ def _capture_fig2_stream(
         for nonterminals, examples in points:
             clear_cache()
             entry = scaling_benchmark(nonterminals)
-            solve_lia_gfa(
-                entry.problem.grammar, example_set(examples), stratify=True
-            )
+            solve_lia_gfa(entry.problem.grammar, example_set(examples), stratify=True)
     clear_cache()
     return sink
 
@@ -610,33 +704,30 @@ def _capture_random_stream(count: int, seed: int = 0) -> List[Formula]:
     return formulas
 
 
-def default_logic_workloads(quick: bool = False) -> List[LogicWorkload]:
-    """The standard logic suite; ``quick`` shrinks it for CI smoke runs."""
+def default_logic_workloads(
+    quick: bool = False,
+) -> List[Tuple[str, str, Callable[[], List[Formula]]]]:
+    """``(name, group, capture)`` per stream; ``quick`` shrinks it for CI.
+
+    The quick ``fig2_newton_subsumption_sweep`` stream covers 6 of the 15
+    sweep points (24 queries against the full run's 60) under the same name.
+    """
     fig2_points = (
         [(8, 1), (14, 1), (8, 2), (14, 2), (8, 3), (14, 3)]
         if quick
-        else [
-            (8, 1), (14, 1), (20, 1), (26, 1), (32, 1),
-            (8, 2), (14, 2), (20, 2), (26, 2), (32, 2),
-            (8, 3), (14, 3), (20, 3), (26, 3), (32, 3),
-        ]
+        else [(n, e) for e in (1, 2, 3) for n in (8, 14, 20, 26, 32)]
     )
     workloads = [
-        LogicWorkload(
+        (
             "fig2_newton_subsumption_sweep",
             "fig2",
-            lambda points=tuple(fig2_points): _capture_fig2_stream(points),
+            lambda: _capture_fig2_stream(fig2_points),
         ),
-        LogicWorkload(
-            "random_qflia_200",
-            "random",
-            lambda: _capture_random_stream(200),
-        ),
+        ("random_qflia_200", "random", lambda: _capture_random_stream(200)),
     ]
-    table2 = ["array_search_8"] if quick else ["array_search_10", "array_search_13"]
-    for name in table2:
+    for name in ["array_search_8"] if quick else ["array_search_10", "array_search_13"]:
         workloads.append(
-            LogicWorkload(
+            (
                 f"table2_clia_{name}",
                 "table2",
                 lambda name=name: _capture_check_stream(name),
@@ -644,7 +735,7 @@ def default_logic_workloads(quick: bool = False) -> List[LogicWorkload]:
         )
     if not quick:
         workloads.append(
-            LogicWorkload(
+            (
                 "table1_limited_if_ite1",
                 "table1",
                 lambda: _capture_check_stream("ite1", suite="LimitedIf"),
@@ -675,141 +766,67 @@ def _replay_reference(stream: Sequence[Formula]) -> List[bool]:
 
 
 def _measure_logic_workload(
-    workload: LogicWorkload, repetitions: int
+    name: str, group: str, capture: Callable[[], List[Formula]], repetitions: int
 ) -> Dict[str, object]:
-    stream = workload.capture()
-    row: Dict[str, object] = {
-        "name": workload.name,
-        "group": workload.group,
-        "queries": len(stream),
-    }
-
+    stream = capture()
     # Differential guard before timing: both stacks must agree on every
     # query, otherwise the bench result would be comparing wrong answers.
+    # The guard's cold incremental replay also yields the work counters
+    # (every timed repetition starts from the same cold caches).
     clear_cache()
-    if _replay_incremental(stream) != _replay_reference(stream):
-        raise ReproError(
-            f"solver verdict mismatch replaying workload {workload.name!r}"
-        )
+    before = runtime_counters()
+    verdicts = _replay_incremental(stream)
+    after = runtime_counters()
+    if verdicts != _replay_reference(stream):
+        raise ReproError(f"solver verdict mismatch replaying workload {name!r}")
 
-    incremental_seconds: List[float] = []
-    reference_seconds: List[float] = []
-    stats: Dict[str, int] = {}
-    for _ in range(repetitions):
-        clear_cache()  # each repetition replays the stream from cold caches
-        before = runtime_counters()
-        started = time.perf_counter()
-        _replay_incremental(stream)
-        incremental_seconds.append(time.perf_counter() - started)
-        after = runtime_counters()
-        stats = {key: after[key] - before.get(key, 0) for key in _LOGIC_STAT_KEYS}
-
-        clear_cache()
-        started = time.perf_counter()
-        _replay_reference(stream)
-        reference_seconds.append(time.perf_counter() - started)
-
-    def leg(seconds: List[float]) -> Dict[str, object]:
-        median = statistics.median(seconds)
-        return {
-            "median_seconds": median,
-            "min_seconds": min(seconds),
-            "queries_per_second": (len(stream) / median) if median > 0 else None,
-            "repetitions": repetitions,
-        }
-
-    incremental = leg(incremental_seconds)
-    incremental["stats"] = stats
-    reference = leg(reference_seconds)
-    row["incremental"] = incremental
-    row["reference"] = reference
-    inc_median = incremental["median_seconds"]
-    row["speedup"] = (
-        reference["median_seconds"] / inc_median if inc_median > 0 else None
-    )
-    return row
-
-
-def run_logic_suite(
-    repetitions: int = 3,
-    quick: bool = False,
-    workloads: Optional[Sequence[LogicWorkload]] = None,
-) -> Dict[str, object]:
-    """Replay every logic workload through both solver stacks; report."""
-    chosen = (
-        list(workloads) if workloads is not None else default_logic_workloads(quick)
-    )
-    rows = [_measure_logic_workload(workload, repetitions) for workload in chosen]
-    report = {
-        "schema_version": LOGIC_BENCH_SCHEMA_VERSION,
-        "suite": "logic",
-        "created_unix": int(time.time()),
-        "repetitions": repetitions,
-        "quick": quick,
-        "workloads": rows,
-        "summary": _summarise_logic(rows),
-        "caches": runtime_cache_stats(),
+    incremental_seconds, _ = timed(lambda: _replay_incremental(stream), repetitions)
+    reference_seconds, _ = timed(lambda: _replay_reference(stream), repetitions)
+    incremental = timing_cell(incremental_seconds, len(stream), "queries_per_second")
+    incremental["stats"] = {
+        key: after[key] - before.get(key, 0) for key in _LOGIC_STAT_KEYS
     }
-    return report
+    reference = timing_cell(reference_seconds, len(stream), "queries_per_second")
+    inc_median = incremental["median_seconds"]
+    return {
+        "name": name,
+        "group": group,
+        "queries": len(stream),
+        "incremental": incremental,
+        "reference": reference,
+        "speedup": reference["median_seconds"] / inc_median if inc_median > 0 else None,
+    }
 
 
-def _summarise_logic(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
+def _run_logic(repetitions: int, quick: bool) -> Report:
+    rows = [
+        _measure_logic_workload(name, group, capture, repetitions)
+        for name, group, capture in default_logic_workloads(quick)
+    ]
     summary: Dict[str, object] = {}
-    groups = sorted({row["group"] for row in rows})
-    for group in groups:
-        speedups = [
-            row["speedup"]
-            for row in rows
-            if row["group"] == group and row.get("speedup") is not None
-        ]
+    for group in sorted({row["group"] for row in rows}):
+        speedups = _values(rows, group, "speedup")
         if speedups:
             summary[f"{group}_min_speedup"] = min(speedups)
             summary[f"{group}_median_speedup"] = statistics.median(speedups)
     all_speedups = [row["speedup"] for row in rows if row.get("speedup") is not None]
     if all_speedups:
         summary["overall_median_speedup"] = statistics.median(all_speedups)
-    return summary
-
-
-def render_logic_report(report: Dict[str, object]) -> str:
-    """A compact human-readable table of the logic report."""
-    lines = [
-        f"{'workload':34s} {'queries':>7s} {'inc q/s':>9s} {'ref q/s':>9s} "
-        f"{'speedup':>8s} {'lemma':>6s} {'cache':>6s} {'pivots':>7s}"
-    ]
-    for row in report["workloads"]:
-        incremental = row["incremental"]
-        reference = row["reference"]
-        stats = incremental.get("stats", {})
-
-        def rate(cell):
-            value = cell.get("queries_per_second")
-            return f"{value:.0f}" if value else "-"
-
-        speedup = row.get("speedup")
-        lines.append(
-            f"{row['name']:34s} {row['queries']:7d} {rate(incremental):>9s} "
-            f"{rate(reference):>9s} {(f'{speedup:.1f}x' if speedup else '-'):>8s} "
-            f"{stats.get('lemma_hits', 0):6d} {stats.get('theory_cache_hits', 0):6d} "
-            f"{stats.get('simplex_pivots', 0):7d}"
-        )
-    for key, value in sorted(report["summary"].items()):
-        lines.append(f"  {key}: {value:.2f}")
-    return "\n".join(lines)
+    return {"workloads": rows, "summary": summary, "caches": runtime_cache_stats()}
 
 
 # ---------------------------------------------------------------------------
-# The domains suite: the columnar evaluation core, |E| sweep
+# domains: the columnar evaluation core, |E| sweep (BENCH_domains.json)
 # ---------------------------------------------------------------------------
 
-#: The example-count sweep.  1000 is the gate point (see docs), 5000 shows
-#: whether the speedup keeps growing; 10/16 cover the small-|E| regime where
-#: the pure-Python fallback must not have regressed.
+#: The example-count sweep.  1000 is the gate point, 5000 shows whether the
+#: speedup keeps growing; 10/16 cover the small-|E| regime where the
+#: pure-Python fallback must not have regressed.
 DOMAINS_EXAMPLE_COUNTS: Tuple[int, ...] = (10, 16, 100, 1000, 5000)
 DOMAINS_QUICK_COUNTS: Tuple[int, ...] = (16, 1000)
 
 #: |E| at or below this bound is the "small example set" regime: the python
-#: leg there is gated against the reference leg (slowdown <= 1.1x).
+#: leg there is gated against the reference leg.
 DOMAINS_SMALL_EXAMPLES = 16
 
 
@@ -846,43 +863,34 @@ def evaluate_slate(depth: int = 16) -> List[Term]:
     return terms
 
 
-def _domains_leg(
-    seconds: List[float], examples_count: int, repetitions: int
+def _domains_row(
+    name: str,
+    group: str,
+    examples_count: int,
+    legs: Sequence[str],
+    run: Callable[[str], object],
+    repetitions: int,
+    **extra: object,
 ) -> Dict[str, object]:
-    median = statistics.median(seconds)
-    return {
-        "median_seconds": median,
-        "min_seconds": min(seconds),
+    """Time ``run(leg)`` per leg; attach median-over-median speedups."""
+    row: Dict[str, object] = {
+        "name": name, "group": group, "examples": examples_count, **extra
+    }
+    for leg in legs:
+        seconds, _ = timed(lambda: run(leg), repetitions)
         # Throughput normalised by |E| alone: how many examples per second
         # this workload processes end-to-end at this |E|.
-        "examples_per_sec": (examples_count / median) if median > 0 else None,
-        "repetitions": repetitions,
-    }
+        row[leg] = timing_cell(seconds, examples_count, "examples_per_sec")
 
-
-def _attach_domain_ratios(row: Dict[str, object]) -> None:
     def median_of(leg: str) -> Optional[float]:
         cell = row.get(leg)
-        if isinstance(cell, dict):
-            return cell["median_seconds"]  # type: ignore[return-value]
-        return None
+        return cell["median_seconds"] if isinstance(cell, dict) else None
 
-    reference = median_of("reference")
-    python = median_of("python")
-    numpy = median_of("numpy")
+    reference, python, numpy = map(median_of, ("reference", "python", "numpy"))
     row["python_vs_reference"] = (reference / python) if reference and python else None
     row["numpy_vs_reference"] = (reference / numpy) if reference and numpy else None
     row["numpy_vs_python"] = (python / numpy) if python and numpy else None
-
-
-def _time_leg(run: Callable[[], object], repetitions: int) -> List[float]:
-    seconds = []
-    for _ in range(repetitions):
-        clear_cache()  # cold GFA/simplification caches for every repetition
-        started = time.perf_counter()
-        run()
-        seconds.append(time.perf_counter() - started)
-    return seconds
+    return row
 
 
 def _measure_evaluate_row(
@@ -891,44 +899,25 @@ def _measure_evaluate_row(
     terms = evaluate_slate()
     examples = large_example_set(examples_count)
 
+    def run(leg: str) -> List[object]:
+        if leg == "reference":
+            return [reference_evaluate(term, examples) for term in terms]
+        with use_backend(leg):
+            memo: EvalMemo = {}
+            return [evaluate(term, examples, memo) for term in terms]
+
     # Differential guard before timing: every leg must produce the same
     # vector for every slate term (vectors are interned, so == is cheap).
-    expected = [reference_evaluate(term, examples) for term in terms]
-    for backend in legs:
-        if backend == "reference":
-            continue
-        with use_backend(backend):
-            memo: EvalMemo = {}
-            actual = [evaluate(term, examples, memo) for term in terms]
-        if actual != expected:
-            raise ReproError(
-                f"evaluate mismatch on the {backend} backend at |E|={examples_count}"
-            )
-
-    def run_reference() -> None:
-        for term in terms:
-            reference_evaluate(term, examples)
-
-    def run_batched() -> None:
-        memo: EvalMemo = {}
-        for term in terms:
-            evaluate(term, examples, memo)
-
-    row: Dict[str, object] = {
-        "name": f"evaluate_e{examples_count}",
-        "group": "evaluate",
-        "examples": examples_count,
-        "terms": len(terms),
-    }
+    expected = run("reference")
     for leg in legs:
-        if leg == "reference":
-            seconds = _time_leg(run_reference, repetitions)
-        else:
-            with use_backend(leg):
-                seconds = _time_leg(run_batched, repetitions)
-        row[leg] = _domains_leg(seconds, examples_count, repetitions)
-    _attach_domain_ratios(row)
-    return row
+        if leg != "reference" and run(leg) != expected:
+            raise ReproError(
+                f"evaluate mismatch on the {leg} backend at |E|={examples_count}"
+            )
+    return _domains_row(
+        f"evaluate_e{examples_count}", "evaluate", examples_count, legs, run,
+        repetitions, terms=len(terms),
+    )
 
 
 def _measure_interval_row(
@@ -956,17 +945,10 @@ def _measure_interval_row(
             raise ReproError(
                 f"interval fixpoint mismatch on the {leg} leg at |E|={examples_count}"
             )
-
-    row: Dict[str, object] = {
-        "name": f"interval_gfa_e{examples_count}",
-        "group": "interval",
-        "examples": examples_count,
-    }
-    for leg in legs:
-        seconds = _time_leg(lambda: solve(leg), repetitions)
-        row[leg] = _domains_leg(seconds, examples_count, repetitions)
-    _attach_domain_ratios(row)
-    return row
+    return _domains_row(
+        f"interval_gfa_e{examples_count}", "interval", examples_count, legs, solve,
+        repetitions,
+    )
 
 
 def _measure_powerset_row(
@@ -984,9 +966,7 @@ def _measure_powerset_row(
             return check_examples_abstract(
                 benchmark.problem,
                 examples,
-                domain=create_domain(
-                    "powerset", cap=64, max_examples=examples_count
-                ),
+                domain=create_domain("powerset", cap=64, max_examples=examples_count),
             )
 
     clear_cache()
@@ -997,45 +977,23 @@ def _measure_powerset_row(
             raise ReproError(
                 f"powerset verdict mismatch on the {leg} leg at |E|={examples_count}"
             )
-
-    row: Dict[str, object] = {
-        "name": f"powerset_e{examples_count}",
-        "group": "powerset",
-        "examples": examples_count,
-    }
-    for leg in backend_legs:
-        seconds = _time_leg(lambda: check(leg), repetitions)
-        row[leg] = _domains_leg(seconds, examples_count, repetitions)
-    _attach_domain_ratios(row)
-    return row
-
-
-def run_domains_suite(
-    repetitions: int = 3,
-    quick: bool = False,
-    example_counts: Optional[Sequence[int]] = None,
-) -> Dict[str, object]:
-    """Sweep the columnar hot paths over |E|; compare legs; report."""
-    counts = (
-        tuple(example_counts)
-        if example_counts is not None
-        else (DOMAINS_QUICK_COUNTS if quick else DOMAINS_EXAMPLE_COUNTS)
+    return _domains_row(
+        f"powerset_e{examples_count}", "powerset", examples_count, backend_legs,
+        check, repetitions,
     )
+
+
+def _run_domains(repetitions: int, quick: bool) -> Report:
+    counts = DOMAINS_QUICK_COUNTS if quick else DOMAINS_EXAMPLE_COUNTS
     legs = domains_backend_legs()
-    rows: List[Dict[str, object]] = []
-    for measure in (
-        _measure_evaluate_row,
-        _measure_interval_row,
-        _measure_powerset_row,
-    ):
-        for count in counts:
-            rows.append(measure(count, repetitions, legs))
+    rows = [
+        measure(count, repetitions, legs)
+        for measure in (
+            _measure_evaluate_row, _measure_interval_row, _measure_powerset_row
+        )
+        for count in counts
+    ]
     return {
-        "schema_version": DOMAINS_BENCH_SCHEMA_VERSION,
-        "suite": "domains",
-        "created_unix": int(time.time()),
-        "repetitions": repetitions,
-        "quick": quick,
         "legs": legs,
         "numpy_available": NUMPY_OPS is not None,
         "workloads": rows,
@@ -1044,80 +1002,40 @@ def run_domains_suite(
 
 
 def _summarise_domains(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Roll-ups including the two gates CI checks (docs/bench-artifacts.md).
+    """Roll-ups including the two gated values.
 
     * ``gate_numpy_speedup_e1000`` — the *minimum* numpy-vs-reference
-      speedup over the ``evaluate`` and ``interval`` groups at |E| = 1000;
-      the acceptance bar is >= 5x.  Absent when numpy is not installed.
+      speedup over the ``evaluate`` and ``interval`` groups at |E| = 1000.
+      Absent when numpy is not installed.
     * ``gate_python_small_e_slowdown`` — the *maximum* python-vs-reference
-      slowdown at |E| <= DOMAINS_SMALL_EXAMPLES over the same groups; the
-      bar is <= 1.1x (the fallback must not regress small example sets).
+      slowdown at |E| <= DOMAINS_SMALL_EXAMPLES over the same groups.
     """
     summary: Dict[str, object] = {}
-    gate_groups = ("evaluate", "interval")
-    gate_speedups = [
+    gated = [row for row in rows if row["group"] in ("evaluate", "interval")]
+    speedups = [
         row["numpy_vs_reference"]
-        for row in rows
-        if row["group"] in gate_groups
-        and row["examples"] == 1000
-        and row.get("numpy_vs_reference") is not None
+        for row in gated
+        if row["examples"] == 1000 and row.get("numpy_vs_reference") is not None
     ]
-    if gate_speedups:
-        summary["gate_numpy_speedup_e1000"] = min(gate_speedups)
-    small_slowdowns = [
+    if speedups:
+        summary["gate_numpy_speedup_e1000"] = min(speedups)
+    slowdowns = [
         1.0 / row["python_vs_reference"]
-        for row in rows
-        if row["group"] in gate_groups
-        and row["examples"] <= DOMAINS_SMALL_EXAMPLES
-        and row.get("python_vs_reference")
+        for row in gated
+        if row["examples"] <= DOMAINS_SMALL_EXAMPLES and row.get("python_vs_reference")
     ]
-    if small_slowdowns:
-        summary["gate_python_small_e_slowdown"] = max(small_slowdowns)
+    if slowdowns:
+        summary["gate_python_small_e_slowdown"] = max(slowdowns)
     for group in sorted({row["group"] for row in rows}):
         for ratio in ("numpy_vs_python", "numpy_vs_reference"):
-            values = [
-                row[ratio]
-                for row in rows
-                if row["group"] == group and row.get(ratio) is not None
-            ]
+            values = _values(rows, group, ratio)
             if values:
                 summary[f"{group}_{ratio}_median"] = statistics.median(values)
     return summary
 
 
-def render_domains_report(report: Dict[str, object]) -> str:
-    """A compact human-readable table of the domains report."""
-    lines = [
-        f"{'workload':22s} {'|E|':>6s} {'ref ex/s':>10s} {'py ex/s':>10s} "
-        f"{'np ex/s':>10s} {'np/ref':>7s} {'np/py':>7s}"
-    ]
-
-    def rate(row: Dict[str, object], leg: str) -> str:
-        cell = row.get(leg)
-        if not isinstance(cell, dict):
-            return "-"
-        value = cell.get("examples_per_sec")
-        return f"{value:.0f}" if value else "-"
-
-    def ratio(row: Dict[str, object], key: str) -> str:
-        value = row.get(key)
-        return f"{value:.1f}x" if value else "-"
-
-    for row in report["workloads"]:
-        lines.append(
-            f"{row['name']:22s} {row['examples']:6d} {rate(row, 'reference'):>10s} "
-            f"{rate(row, 'python'):>10s} {rate(row, 'numpy'):>10s} "
-            f"{ratio(row, 'numpy_vs_reference'):>7s} "
-            f"{ratio(row, 'numpy_vs_python'):>7s}"
-        )
-    for key, value in sorted(report["summary"].items()):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            lines.append(f"  {key}: {value:.2f}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
-# The grammar (tree-automaton core) suite
+# grammar: OE pruning + the memoized enumerator (BENCH_grammar.json)
 # ---------------------------------------------------------------------------
 #
 # Two question families, both over generated grammar-scale slates
@@ -1134,11 +1052,6 @@ def render_domains_report(report: Dict[str, object]) -> str:
 #   the size budget, a property of the grammar, divided by each leg's wall
 #   time), and what does bank memoization buy on the repeat rounds the
 #   CEGIS loop actually performs?
-
-#: Version of the BENCH_grammar.json schema (see docs/bench-artifacts.md).
-GRAMMAR_BENCH_SCHEMA_VERSION = 1
-
-DEFAULT_GRAMMAR_BENCH_PATH = "BENCH_grammar.json"
 
 #: ``(length, fanout)`` of the redundant-chain slate for the pruning rows.
 GRAMMAR_PRUNE_SLATE: Tuple[Tuple[int, int], ...] = ((6, 3), (10, 3), (14, 4), (20, 5))
@@ -1183,16 +1096,17 @@ def _measure_grammar_prune_row(
         },
     }
     for mode in ("off", "oe"):
-        solution = solver(grammar, examples, prune=mode)
-        seconds = _time_leg(lambda: solver(grammar, examples, prune=mode), repetitions)
+        seconds, solution = timed(
+            lambda: solver(grammar, examples, prune=mode), repetitions
+        )
         row[mode] = {
-            "evaluations": solution.evaluations,
-            "median_seconds": statistics.median(seconds),
+            **timing_cell(seconds),
             "seconds": seconds,
+            "evaluations": solution.evaluations,
         }
-    off_evals = row["off"]["evaluations"]
-    oe_evals = row["oe"]["evaluations"]
-    row["evaluation_reduction"] = off_evals / max(1, oe_evals)
+    row["evaluation_reduction"] = row["off"]["evaluations"] / max(
+        1, row["oe"]["evaluations"]
+    )
     row["wall_ratio_oe_vs_off"] = row["oe"]["median_seconds"] / max(
         1e-9, row["off"]["median_seconds"]
     )
@@ -1203,42 +1117,30 @@ def _measure_grammar_enum_row(fanout: int, repetitions: int) -> Dict[str, object
     from repro.suites.scaling import redundant_expression_benchmark
     from repro.synth import EnumerativeSynthesizer, ReferenceSynthesizer
 
-    benchmark = redundant_expression_benchmark(fanout)
-    problem = benchmark.problem
+    problem = redundant_expression_benchmark(fanout).problem
     examples = example_set(GRAMMAR_EXAMPLES)
     max_size, max_terms = 7, 50_000
 
-    def leg(seconds: List[float], candidates: int) -> Dict[str, object]:
-        median = statistics.median(seconds)
-        return {
-            "median_seconds": median,
-            "seconds": seconds,
-            "candidates_per_sec": candidates / max(1e-9, median),
-        }
+    def cold_run(synthesizer: Callable[[int, int], object]) -> Callable[[], object]:
+        return lambda: synthesizer(max_size, max_terms).synthesize(problem, examples)
 
-    # The shared numerator: distinct-behavior candidates up to the budget.
-    probe = EnumerativeSynthesizer(max_size, max_terms)
-    candidates = probe.synthesize(problem, examples).explored_terms
-
-    reference_seconds = _time_leg(
-        lambda: ReferenceSynthesizer(max_size, max_terms).synthesize(
-            problem, examples
-        ),
-        repetitions,
-    )
-    cold_seconds = _time_leg(
-        lambda: EnumerativeSynthesizer(max_size, max_terms).synthesize(
-            problem, examples
-        ),
-        repetitions,
-    )
+    reference_seconds, _ = timed(cold_run(ReferenceSynthesizer), repetitions)
+    cold_seconds, cold = timed(cold_run(EnumerativeSynthesizer), repetitions)
     # Warm leg: the synthesizer keeps its banks across calls, the shape of
     # repeat CEGIS rounds whose example set did not change.
     warm_synthesizer = EnumerativeSynthesizer(max_size, max_terms)
     warm_synthesizer.synthesize(problem, examples)
-    warm_seconds = _time_leg(
+    warm_seconds, _ = timed(
         lambda: warm_synthesizer.synthesize(problem, examples), repetitions
     )
+    # The shared numerator: distinct-behavior candidates up to the budget.
+    candidates = cold.explored_terms
+
+    def leg(seconds: List[float]) -> Dict[str, object]:
+        return {
+            **timing_cell(seconds, candidates, "candidates_per_sec"),
+            "seconds": seconds,
+        }
 
     row: Dict[str, object] = {
         "name": f"enumerate_expr_{fanout}",
@@ -1248,70 +1150,55 @@ def _measure_grammar_enum_row(fanout: int, repetitions: int) -> Dict[str, object
         "max_size": max_size,
         "examples": GRAMMAR_EXAMPLES,
         "distinct_candidates": candidates,
-        "reference": leg(reference_seconds, candidates),
-        "memoized": leg(cold_seconds, candidates),
-        "memoized_warm": leg(warm_seconds, candidates),
+        "reference": leg(reference_seconds),
+        "memoized": leg(cold_seconds),
+        "memoized_warm": leg(warm_seconds),
     }
-    row["speedup_cold"] = row["reference"]["median_seconds"] / max(
-        1e-9, row["memoized"]["median_seconds"]
-    )
-    row["speedup_warm"] = row["reference"]["median_seconds"] / max(
-        1e-9, row["memoized_warm"]["median_seconds"]
-    )
+    reference_median = row["reference"]["median_seconds"]
+    for leg_name, speedup in (
+        ("memoized", "speedup_cold"), ("memoized_warm", "speedup_warm")
+    ):
+        row[speedup] = reference_median / max(1e-9, row[leg_name]["median_seconds"])
     return row
 
 
-def run_grammar_suite(repetitions: int = 3, quick: bool = False) -> Dict[str, object]:
-    """Measure OE pruning and the memoized enumerator on generated slates."""
+def _run_grammar(repetitions: int, quick: bool) -> Report:
     prune_slate = GRAMMAR_PRUNE_QUICK_SLATE if quick else GRAMMAR_PRUNE_SLATE
     enum_slate = GRAMMAR_ENUM_QUICK_SLATE if quick else GRAMMAR_ENUM_SLATE
-    rows: List[Dict[str, object]] = []
-    for length, fanout in prune_slate:
-        for leg in ("fig2_lia", "fig3_abstract"):
-            rows.append(_measure_grammar_prune_row(length, fanout, leg, repetitions))
-    for fanout in enum_slate:
-        rows.append(_measure_grammar_enum_row(fanout, repetitions))
-    return {
-        "schema_version": GRAMMAR_BENCH_SCHEMA_VERSION,
-        "suite": "grammar",
-        "created_unix": int(time.time()),
-        "repetitions": repetitions,
-        "quick": quick,
-        "workloads": rows,
-        "summary": _summarise_grammar(rows),
-    }
+    rows = [
+        _measure_grammar_prune_row(length, fanout, leg, repetitions)
+        for length, fanout in prune_slate
+        for leg in ("fig2_lia", "fig3_abstract")
+    ]
+    rows.extend(_measure_grammar_enum_row(fanout, repetitions) for fanout in enum_slate)
+    return {"workloads": rows, "summary": _summarise_grammar(rows)}
 
 
 def _summarise_grammar(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Roll-ups including the gates CI checks (docs/bench-artifacts.md).
+    """Roll-ups including the three gated values.
 
     * ``gate_oe_evaluation_reduction`` — the *best* equation-evaluation
-      reduction over the fig2/fig3 prune rows; the acceptance bar is >= 2x.
+      reduction over the fig2/fig3 prune rows.
     * ``gate_prune_wall_ratio`` — the *worst* oe-vs-off wall-clock ratio
       over prune rows with at least ``GRAMMAR_GATE_MIN_PRODUCTIONS``
-      productions; the (noise-tolerant) bar is <= 1.25.
+      productions.
     * ``gate_enumerator_speedup`` — the *worst* cold-leg speedup of the
-      memoized enumerator over the reference; the bar is >= 1.0.
+      memoized enumerator over the reference.
     """
     summary: Dict[str, object] = {}
     prune_rows = [row for row in rows if row["group"] == "prune"]
     enum_rows = [row for row in rows if row["group"] == "enumerate"]
     if prune_rows:
-        summary["gate_oe_evaluation_reduction"] = max(
-            row["evaluation_reduction"] for row in prune_rows
-        )
-        summary["evaluation_reduction_median"] = statistics.median(
-            row["evaluation_reduction"] for row in prune_rows
-        )
+        reductions = [row["evaluation_reduction"] for row in prune_rows]
+        summary["gate_oe_evaluation_reduction"] = max(reductions)
+        summary["evaluation_reduction_median"] = statistics.median(reductions)
         gated = [
-            row
+            row["wall_ratio_oe_vs_off"]
             for row in prune_rows
             if row["productions"]["before"] >= GRAMMAR_GATE_MIN_PRODUCTIONS
         ]
         if gated:
-            summary["gate_prune_wall_ratio"] = max(
-                row["wall_ratio_oe_vs_off"] for row in gated
-            )
+            summary["gate_prune_wall_ratio"] = max(gated)
         summary["productions_pruned_total"] = sum(
             row["productions"]["pruned"] for row in prune_rows
         )
@@ -1325,44 +1212,8 @@ def _summarise_grammar(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     return summary
 
 
-def render_grammar_report(report: Dict[str, object]) -> str:
-    """A compact human-readable table of the grammar report."""
-    lines = [
-        f"{'workload':28s} {'|P| off':>8s} {'|P| oe':>7s} {'evals off':>10s} "
-        f"{'evals oe':>9s} {'reduction':>9s} {'wall oe/off':>11s}"
-    ]
-    for row in report["workloads"]:
-        if row["group"] != "prune":
-            continue
-        lines.append(
-            f"{row['name']:28s} {row['productions']['before']:8d} "
-            f"{row['productions']['after']:7d} {row['off']['evaluations']:10d} "
-            f"{row['oe']['evaluations']:9d} {row['evaluation_reduction']:8.1f}x "
-            f"{row['wall_ratio_oe_vs_off']:10.2f}x"
-        )
-    lines.append("")
-    lines.append(
-        f"{'workload':28s} {'|P|':>6s} {'cands':>6s} {'ref c/s':>9s} "
-        f"{'memo c/s':>9s} {'cold':>6s} {'warm':>8s}"
-    )
-    for row in report["workloads"]:
-        if row["group"] != "enumerate":
-            continue
-        lines.append(
-            f"{row['name']:28s} {row['productions']:6d} "
-            f"{row['distinct_candidates']:6d} "
-            f"{row['reference']['candidates_per_sec']:9.0f} "
-            f"{row['memoized']['candidates_per_sec']:9.0f} "
-            f"{row['speedup_cold']:5.1f}x {row['speedup_warm']:7.1f}x"
-        )
-    for key, value in sorted(report["summary"].items()):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            lines.append(f"  {key}: {value:.2f}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
-# The chaos (solve-fabric resilience) suite
+# chaos: solve-fabric resilience (BENCH_chaos.json)
 # ---------------------------------------------------------------------------
 #
 # Unlike the other suites this one measures *survival*, not speed: every
@@ -1371,13 +1222,15 @@ def render_grammar_report(report: Dict[str, object]) -> str:
 # still ends in a well-formed wire response, that crashed workers are
 # replaced, and that the circuit breakers trip and recover as specified.
 
+CHAOS_FAULT_KINDS = ("crash", "hang", "slow", "corrupt", "oom", "error", "kill9")
 
-def _chaos_request(tags=None, timeout=10.0, engine="naySL"):
+
+def _chaos_request(tags=None, timeout=10.0):
     from repro.api.wire import SolveRequest
 
     return SolveRequest(
         benchmark="plane1",
-        engine=engine,
+        engine="naySL",
         kind="check",
         timeout_seconds=timeout,
         tags=dict(tags or {}),
@@ -1388,6 +1241,8 @@ def _chaos_well_formed(response) -> bool:
     """Round-trip the response through the strict wire parser."""
     from repro.api.wire import SolveResponse
 
+    if response is None:
+        return False
     try:
         SolveResponse.from_json(response.to_json())
     except Exception:  # noqa: BLE001 — malformed is exactly what we probe for
@@ -1395,17 +1250,16 @@ def _chaos_well_formed(response) -> bool:
     return True
 
 
-def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, object]:
-    """Drive the fault slate through a supervised fabric; return the report.
+def _run_chaos(repetitions: int, quick: bool) -> Report:
+    """Drive the fault slate through a supervised fabric.
 
     ``repetitions`` scales the clean/self-heal request counts (the faulted
     scenarios are fixed — each exists to prove one failure mode).  ``quick``
-    is accepted for CLI symmetry; the slate is already CI-sized (>= 20
-    requests, >= 4 fault kinds).
+    changes nothing; the slate is already CI-sized.
     """
     import os
     import signal
-    import threading as _threading
+    import threading
 
     from repro.api.facade import timeout_response
     from repro.engine.supervisor import (
@@ -1416,6 +1270,7 @@ def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, obje
     )
     from repro.testing.faults import reset_fault_state
 
+    del quick
     reset_fault_state()
     clean_count = max(2, 2 * max(1, repetitions))
     board = BreakerBoard(threshold=2, cooldown_seconds=0.5)
@@ -1427,107 +1282,82 @@ def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, obje
         name="chaos",
     )
     scenarios: List[Dict[str, object]] = []
-    total = 0
-    well_formed = 0
     started = time.monotonic()
 
-    def run_scenario(name, requests, expect):
-        nonlocal total, well_formed
-        outcomes: List[str] = []
-        retries = 0
-        replaced = 0
-        injected = 0
-        scenario_start = time.monotonic()
-        for request in requests:
-            response = fabric.solve(request)
-            outcomes.append(response.verdict)
-            retries += response.solver_stats.get("retries", 0)
-            replaced += response.solver_stats.get("workers_replaced", 0)
-            injected += response.solver_stats.get("faults_injected", 0)
-            total += 1
-            well_formed += 1 if _chaos_well_formed(response) else 0
+    def record(name, since, responses, expect, ok=True, **extra):
+        """Append one scenario row, begun at ``since``, from its responses;
+        ``extra`` adds fields or overrides the counted ones."""
+        stats = [response.solver_stats if response else {} for response in responses]
+        outcomes = [response.verdict if response else "lost" for response in responses]
         row = {
             "name": name,
-            "requests": len(requests),
+            "requests": len(responses),
             "outcomes": outcomes,
-            "expect": expect,
-            "ok": all(outcome in expect for outcome in outcomes),
-            "retries": retries,
-            "workers_replaced": replaced,
-            "faults_injected": injected,
-            "seconds": round(time.monotonic() - scenario_start, 4),
+            "expect": list(expect),
+            "ok": bool(ok) and all(outcome in expect for outcome in outcomes),
+            "well_formed": sum(_chaos_well_formed(response) for response in responses),
+            "retries": sum(s.get("retries", 0) for s in stats),
+            "workers_replaced": sum(s.get("workers_replaced", 0) for s in stats),
+            "faults_injected": sum(s.get("faults_injected", 0) for s in stats),
+            "seconds": round(time.monotonic() - since, 4),
+            **extra,
         }
         scenarios.append(row)
         return row
+
+    def run_scenario(name, tags, count, expect):
+        since = time.monotonic()
+        responses = [fabric.solve(_chaos_request(tags)) for _ in range(count)]
+        return record(name, since, responses, expect)
+
+    def rearm():
+        board.for_engine("naySL").record_success()
 
     try:
         pids_before = fabric.worker_pids()
 
         # 1. Baseline: clean requests on the fresh pool.
-        run_scenario(
-            "clean",
-            [_chaos_request() for _ in range(clean_count)],
-            expect=("unrealizable",),
-        )
+        run_scenario("clean", None, clean_count, ("unrealizable",))
 
         # 2. crash — the worker dies (os._exit) on every attempt; bounded
         # retries run out and the request degrades to a transient error.
-        run_scenario(
-            "crash",
-            [_chaos_request({"faults": "crash@*"}) for _ in range(2)],
-            expect=("error",),
-        )
-        board.for_engine("naySL").record_success()  # crashes tripped it; re-arm
+        run_scenario("crash", {"faults": "crash@*"}, 2, ("error",))
+        rearm()  # the crashes tripped the breaker
 
         # 3. slow — the leg stalls briefly, then answers normally; the
         # injection is visible in solver_stats but harmless.
-        run_scenario(
-            "slow",
-            [_chaos_request({"faults": "slow@*:0.1"}) for _ in range(3)],
-            expect=("unrealizable",),
-        )
+        run_scenario("slow", {"faults": "slow@*:0.1"}, 3, ("unrealizable",))
 
         # 4. corrupt — the reply payload fails wire validation at the pipe;
         # every retry lands on a (fresh) worker that corrupts again, so the
         # request errors out after max_attempts with retries recorded.
-        corrupt = run_scenario(
-            "corrupt",
-            [_chaos_request({"faults": "corrupt@*"}) for _ in range(2)],
-            expect=("error",),
-        )
+        corrupt = run_scenario("corrupt", {"faults": "corrupt@*"}, 2, ("error",))
         corrupt["ok"] = corrupt["ok"] and corrupt["retries"] > 0
-        board.for_engine("naySL").record_success()
+        rearm()
 
         # 5. oom — an allocation burst ending in MemoryError: a
         # deterministic in-worker failure, reported as an error verdict
         # without any retry.
-        oom = run_scenario(
-            "oom",
-            [_chaos_request({"faults": "oom@*:16"}) for _ in range(2)],
-            expect=("error",),
-        )
+        oom = run_scenario("oom", {"faults": "oom@*:16"}, 2, ("error",))
         oom["ok"] = oom["ok"] and oom["retries"] == 0
 
         # 6. error — the deterministic injected failure; the retry policy
         # must NOT retry it.
-        deterministic = run_scenario(
-            "error",
-            [_chaos_request({"faults": "error@*"}) for _ in range(2)],
-            expect=("error",),
-        )
+        deterministic = run_scenario("error", {"faults": "error@*"}, 2, ("error",))
         deterministic["ok"] = deterministic["ok"] and deterministic["retries"] == 0
 
         # 7. kill -9 mid-solve — the one genuinely *transient* fault: the
         # parent SIGKILLs the busy worker while a slowed request is in
         # flight; the retry lands on a replacement and succeeds.
+        since = time.monotonic()
         holder: Dict[str, object] = {}
-
-        def solve_slow():
-            holder["response"] = fabric.solve(
-                _chaos_request({"faults": "slow@*:1.0"}, timeout=15.0)
+        thread = threading.Thread(
+            target=lambda: holder.update(
+                response=fabric.solve(
+                    _chaos_request({"faults": "slow@*:1.0"}, timeout=15.0)
+                )
             )
-
-        thread = _threading.Thread(target=solve_slow)
+        )
         thread.start()
         kill_deadline = time.monotonic() + 5.0
         killed_pid = None
@@ -1539,72 +1369,35 @@ def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, obje
             else:
                 time.sleep(0.02)
         thread.join(timeout=60.0)
-        response = holder.get("response")
-        total += 1
-        ok = (
-            response is not None
-            and _chaos_well_formed(response)
-            and response.verdict == "unrealizable"
-            and response.solver_stats.get("retries", 0) >= 1
+        killed = record(
+            "kill9", since, [holder.get("response")], ("unrealizable",),
+            killed_pid=killed_pid,
         )
-        well_formed += 1 if response is not None and _chaos_well_formed(response) else 0
-        scenarios.append(
-            {
-                "name": "kill9",
-                "requests": 1,
-                "outcomes": [response.verdict if response is not None else "lost"],
-                "expect": ["unrealizable"],
-                "ok": bool(ok),
-                "killed_pid": killed_pid,
-                "retries": (
-                    response.solver_stats.get("retries", 0)
-                    if response is not None
-                    else 0
-                ),
-                "workers_replaced": (
-                    response.solver_stats.get("workers_replaced", 0)
-                    if response is not None
-                    else 0
-                ),
-                "faults_injected": 0,
-                "seconds": 0.0,
-            }
+        killed["ok"] = (
+            killed["ok"] and killed["well_formed"] == 1 and killed["retries"] >= 1
         )
-        board.for_engine("naySL").record_success()
+        rearm()
 
         # 8. hang — the leg stops making progress entirely; the harvest
         # deadline fires, the stuck worker is killed and replaced, and the
         # caller records the same timeout response Supervisor.solve would
         # produce at the hard guard.
+        since = time.monotonic()
         hang_request = _chaos_request({"faults": "hang@*"}, timeout=5.0)
         job = fabric.submit(hang_request, soft_timeout=5.0)
         try:
-            response = fabric.harvest(job, timeout=1.5)
-            hang_outcome = response.verdict  # should not happen
+            response = fabric.harvest(job, timeout=1.5)  # should not return
         except FabricTimeoutError:
             fabric.cancel(job)
             response = timeout_response(hang_request)
-            hang_outcome = response.verdict
-        total += 1
-        well_formed += 1 if _chaos_well_formed(response) else 0
-        scenarios.append(
-            {
-                "name": "hang",
-                "requests": 1,
-                "outcomes": [hang_outcome],
-                "expect": ["timeout"],
-                "ok": hang_outcome == "timeout",
-                "retries": 0,
-                "workers_replaced": 1,
-                "faults_injected": 0,
-                "seconds": 0.0,
-            }
-        )
-        board.for_engine("naySL").record_success()
+        # The harvest timeout replaced the stuck worker.
+        record("hang", since, [response], ("timeout",), workers_replaced=1)
+        rearm()
 
         # 9. breaker — two consecutive crashes trip the breaker (threshold
         # 2); the next request is refused without running; after the
         # cooldown a clean half-open probe re-closes it.
+        since = time.monotonic()
         breaker_board = BreakerBoard(threshold=2, cooldown_seconds=0.4)
         breaker_fabric = Supervisor(
             1,
@@ -1614,68 +1407,50 @@ def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, obje
             name="chaos-breaker",
         )
         try:
-            for _ in range(2):
+            crashes = [
                 breaker_fabric.solve(_chaos_request({"faults": "crash@*"}))
-                total += 1
-                well_formed += 1
+                for _ in range(2)
+            ]
             tripped = breaker_board.for_engine("naySL").snapshot()
             refused = breaker_fabric.solve(_chaos_request())
-            total += 1
-            well_formed += 1 if _chaos_well_formed(refused) else 0
             time.sleep(0.5)  # cooldown: the next request is the half-open probe
             probe = breaker_fabric.solve(_chaos_request())
-            total += 1
-            well_formed += 1 if _chaos_well_formed(probe) else 0
             recovered = breaker_board.for_engine("naySL").snapshot()
-            scenarios.append(
-                {
-                    "name": "breaker",
-                    "requests": 4,
-                    "outcomes": [refused.verdict, probe.verdict],
-                    "expect": ["error", "unrealizable"],
-                    "ok": (
-                        tripped["state"] == "open"
-                        and tripped["trips"] >= 1
-                        and refused.verdict == "error"
-                        and "circuit breaker open" in (refused.error or "")
-                        and probe.verdict == "unrealizable"
-                        and recovered["state"] == "closed"
-                    ),
-                    "tripped": tripped,
-                    "recovered": recovered,
-                    "retries": 0,
-                    "workers_replaced": 2,
-                    "faults_injected": 0,
-                    "seconds": 0.0,
-                }
-            )
         finally:
             breaker_fabric.shutdown()
+        breaker = record(
+            "breaker",
+            since,
+            crashes + [refused, probe],
+            ("error", "unrealizable"),
+            ok=(
+                tripped["state"] == "open"
+                and tripped["trips"] >= 1
+                and refused.verdict == "error"
+                and "circuit breaker open" in (refused.error or "")
+                and probe.verdict == "unrealizable"
+                and recovered["state"] == "closed"
+            ),
+            tripped=tripped,
+            recovered=recovered,
+            workers_replaced=2,  # the two crashed breaker-fabric workers
+        )
 
         # 10. self-heal — after everything above, clean requests must still
         # succeed on the (heavily replaced) pool.
-        heal = run_scenario(
-            "self-heal",
-            [_chaos_request() for _ in range(clean_count)],
-            expect=("unrealizable",),
-        )
-        pids_after = fabric.worker_pids()
-        heal["pool_replaced_workers"] = sorted(
-            set(pids_after) - set(pids_before)
-        )
-        heal["ok"] = heal["ok"] and bool(set(pids_after) - set(pids_before))
+        heal = run_scenario("self-heal", None, clean_count, ("unrealizable",))
+        replaced = sorted(set(fabric.worker_pids()) - set(pids_before))
+        heal["pool_replaced_workers"] = replaced
+        heal["ok"] = heal["ok"] and bool(replaced)
 
         fabric_stats = fabric.stats.snapshot()
     finally:
         fabric.shutdown()
 
-    report = {
-        "schema_version": CHAOS_BENCH_SCHEMA_VERSION,
-        "suite": "chaos",
-        "created_unix": int(time.time()),
-        "repetitions": repetitions,
-        "quick": quick,
-        "fault_kinds": ["crash", "hang", "slow", "corrupt", "oom", "error", "kill9"],
+    total = sum(row["requests"] for row in scenarios)
+    well_formed = sum(row["well_formed"] for row in scenarios)
+    return {
+        "fault_kinds": list(CHAOS_FAULT_KINDS),
         "scenarios": scenarios,
         "fabric_stats": fabric_stats,
         "breakers": board.snapshot(),
@@ -1684,47 +1459,18 @@ def run_chaos_suite(repetitions: int = 1, quick: bool = False) -> Dict[str, obje
             "well_formed": well_formed,
             "all_well_formed": well_formed == total,
             "all_scenarios_ok": all(row["ok"] for row in scenarios),
-            "retries": sum(row.get("retries", 0) for row in scenarios),
+            "fault_kind_count": len(CHAOS_FAULT_KINDS),
+            "retries": sum(row["retries"] for row in scenarios),
             "workers_replaced": fabric_stats.get("workers_replaced", 0),
-            "faults_injected": sum(row.get("faults_injected", 0) for row in scenarios),
-            "breaker_trips": next(
-                (row.get("tripped", {}).get("trips", 0) for row in scenarios
-                 if row["name"] == "breaker"),
-                0,
-            ),
+            "faults_injected": sum(row["faults_injected"] for row in scenarios),
+            "breaker_trips": breaker["tripped"]["trips"],
             "total_seconds": round(time.monotonic() - started, 4),
         },
     }
-    return report
-
-
-def render_chaos_report(report: Dict[str, object]) -> str:
-    """A compact human-readable table of the chaos report."""
-    lines = [f"{'scenario':12s} {'reqs':>5s} {'ok':>4s} {'retries':>8s} "
-             f"{'replaced':>9s} {'outcomes'}"]
-    for row in report["scenarios"]:
-        outcomes = ",".join(sorted(set(row["outcomes"]))) or "-"
-        lines.append(
-            f"{row['name']:12s} {row['requests']:5d} "
-            f"{('yes' if row['ok'] else 'NO'):>4s} {row.get('retries', 0):8d} "
-            f"{row.get('workers_replaced', 0):9d} {outcomes}"
-        )
-    summary = report["summary"]
-    lines.append(
-        f"  requests: {summary['requests']}  well-formed: {summary['well_formed']}"
-        f"  retries: {summary['retries']}"
-        f"  workers_replaced: {summary['workers_replaced']}"
-        f"  breaker_trips: {summary['breaker_trips']}"
-    )
-    lines.append(
-        "  all scenarios ok: "
-        + ("yes" if summary["all_scenarios_ok"] else "NO")
-    )
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
-# The serve load harness (BENCH_serve.json)
+# serve: concurrent clients over the HTTP server + result store (BENCH_serve.json)
 # ---------------------------------------------------------------------------
 
 #: Benchmark slate the serve load harness repeats: cheap, definitive
@@ -1772,30 +1518,28 @@ def _serve_drive(
     from the persistent store.
     """
     import http.client
-    import threading as _threading
+    import threading
 
     from repro.api.wire import SolveResponse
 
     host, port = server.server_address[0], server.server_address[1]
     results: List[Dict[str, object]] = []
-    lock = _threading.Lock()
-    cursor = {"next": 0}
+    lock = threading.Lock()
+    pending = iter(payloads)
 
     def worker() -> None:
         while True:
             with lock:
-                index = cursor["next"]
-                if index >= len(payloads):
-                    return
-                cursor["next"] = index + 1
-            body = json.dumps(payloads[index]).encode("utf-8")
+                payload = next(pending, None)
+            if payload is None:
+                return
             started = time.perf_counter()
             conn = http.client.HTTPConnection(host, port, timeout=300)
             try:
                 conn.request(
                     "POST",
                     "/solve",
-                    body,
+                    json.dumps(payload).encode("utf-8"),
                     {"Content-Type": "application/json"},
                 )
                 reply = conn.getresponse()
@@ -1803,17 +1547,14 @@ def _serve_drive(
                 raw = reply.read()
             finally:
                 conn.close()
-            elapsed = time.perf_counter() - started
             row: Dict[str, object] = {
-                "seconds": elapsed,
-                "status": status,
+                "seconds": time.perf_counter() - started,
                 "schema_valid": False,
                 "definitive": False,
                 "store_hit": False,
             }
             try:
-                payload = json.loads(raw.decode("utf-8"))
-                response = SolveResponse.from_json(payload)
+                response = SolveResponse.from_json(json.loads(raw.decode("utf-8")))
                 row["schema_valid"] = status == 200
                 row["definitive"] = response.is_definitive
                 row["store_hit"] = bool(response.solver_stats.get("store_hits"))
@@ -1822,7 +1563,7 @@ def _serve_drive(
             with lock:
                 results.append(row)
 
-    threads = [_threading.Thread(target=worker) for _ in range(max(1, clients))]
+    threads = [threading.Thread(target=worker) for _ in range(max(1, clients))]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -1830,77 +1571,43 @@ def _serve_drive(
     return results
 
 
-def _serve_leg(name: str, unique: int, rows: List[Dict[str, object]]) -> Dict[str, object]:
-    """Aggregate one driven leg into a BENCH_serve.json row."""
-    latencies = [row["seconds"] for row in rows]
-    seconds = sum(latencies)
-    wall = max(latencies) if latencies else 0.0  # placeholder; caller overwrites
-    hits = sum(1 for row in rows if row["store_hit"])
-    return {
-        "name": name,
-        "requests": len(rows),
-        "unique": unique,
-        "seconds": round(wall, 4),
-        "requests_per_sec": 0.0,
-        "p50_ms": round(_serve_percentile(latencies, 0.50) * 1000, 3),
-        "p99_ms": round(_serve_percentile(latencies, 0.99) * 1000, 3),
-        "mean_ms": round((seconds / len(rows)) * 1000, 3) if rows else 0.0,
-        "store_hits": hits,
-        "hit_ratio": round(hits / len(rows), 4) if rows else 0.0,
-        "schema_valid": sum(1 for row in rows if row["schema_valid"]),
-        "definitive": sum(1 for row in rows if row["definitive"]),
-    }
-
-
-def run_serve_suite(
-    repetitions: int = 3,
-    quick: bool = False,
-    clients: Optional[int] = None,
-) -> Dict[str, object]:
+def _run_serve(repetitions: int, quick: bool) -> Report:
     """Concurrent-client load over the real HTTP server + persistent store.
 
     Spins up the production stack in-process — :func:`make_server` backed by
     a supervised solve fabric and a fresh
     :class:`~repro.engine.store.ResultStore` in a temp directory — and
-    drives ``clients`` concurrent threads through three request streams:
+    drives concurrent client threads through three request streams:
 
     * **cold** — every slate benchmark exactly once: all misses, every
       request pays for a real solve (the store is empty);
-    * **warm_repeat** — the repeat-heavy leg: the same slate round-robined
-      ``max(4, 2 * repetitions)`` times, every request a store hit;
+    * **warm_repeat** — the same slate round-robined several times, every
+      request a store hit;
     * **mixed** — repeats interleaved with fresh variants (distinct seeds,
       so distinct fingerprints but identical solve cost), the realistic
       hit-ratio regime.
 
-    The headline gate is ``summary["gate_warm_vs_cold_throughput"]`` —
-    warm requests/sec over cold requests/sec, which the committed artifact
-    must show **>= 5x** (CI re-checks a fresh quick run against a
-    noise-tolerant 3x bar).  Ratios, not absolute rates, are gated: wall
-    clocks vary across machines, the cold/warm split on the same machine in
-    the same run does not.
+    The gated value ``gate_warm_vs_cold_throughput`` is warm requests/sec
+    over cold requests/sec: a ratio, because wall clocks vary across
+    machines while the cold/warm split in one run does not.
     """
     import os
     import shutil
     import tempfile
-    import threading as _threading
+    import threading
 
     from repro.api import Solver
     from repro.api.service import make_server
-    from repro.engine.store import (
-        STORE_ENV,
-        ResultStore,
-        install_result_store,
-    )
+    from repro.engine.store import STORE_ENV, ResultStore, install_result_store
     from repro.engine.supervisor import (
         BreakerBoard,
         RetryPolicy,
         Supervisor,
         install_fabric,
-        shutdown_fabric,
     )
 
     slate = list(SERVE_BENCH_SLATE[:4] if quick else SERVE_BENCH_SLATE)
-    clients = clients if clients is not None else (4 if quick else 6)
+    clients = 4 if quick else 6
     warm_repeats = max(2, repetitions) if quick else max(4, 2 * repetitions)
     workers = 2 if quick else 3
 
@@ -1927,10 +1634,8 @@ def run_serve_suite(
         name="serve-bench",
     )
     previous_fabric = install_fabric(fabric)
-    server = make_server(
-        port=0, solver=Solver(timeout_seconds=120.0), max_inflight=64
-    )
-    server_thread = _threading.Thread(target=server.serve_forever, daemon=True)
+    server = make_server(port=0, solver=Solver(timeout_seconds=120.0), max_inflight=64)
+    server_thread = threading.Thread(target=server.serve_forever, daemon=True)
     server_thread.start()
     started = time.monotonic()
     legs: List[Dict[str, object]] = []
@@ -1943,9 +1648,22 @@ def run_serve_suite(
             leg_started = time.perf_counter()
             rows = _serve_drive(server, payloads, clients)
             wall = time.perf_counter() - leg_started
-            leg = _serve_leg(name, unique, rows)
-            leg["seconds"] = round(wall, 4)
-            leg["requests_per_sec"] = round(len(rows) / wall, 3) if wall else 0.0
+            latencies = [row["seconds"] for row in rows]
+            hits = sum(1 for row in rows if row["store_hit"])
+            leg = {
+                "name": name,
+                "requests": len(rows),
+                "unique": unique,
+                "seconds": round(wall, 4),
+                "requests_per_sec": round(len(rows) / wall, 3) if wall else 0.0,
+                "p50_ms": round(_serve_percentile(latencies, 0.50) * 1000, 3),
+                "p99_ms": round(_serve_percentile(latencies, 0.99) * 1000, 3),
+                "mean_ms": round(sum(latencies) / len(rows) * 1000, 3) if rows else 0.0,
+                "store_hits": hits,
+                "hit_ratio": round(hits / len(rows), 4) if rows else 0.0,
+                "schema_valid": sum(1 for row in rows if row["schema_valid"]),
+                "definitive": sum(1 for row in rows if row["definitive"]),
+            }
             legs.append(leg)
             return leg
 
@@ -1996,11 +1714,6 @@ def run_serve_suite(
     cold_rps = cold["requests_per_sec"]
     warm_rps = warm["requests_per_sec"]
     return {
-        "schema_version": SERVE_BENCH_SCHEMA_VERSION,
-        "suite": "serve",
-        "created_unix": int(time.time()),
-        "repetitions": repetitions,
-        "quick": quick,
         "clients": clients,
         "workers": workers,
         "slate": slate,
@@ -2027,29 +1740,134 @@ def run_serve_suite(
     }
 
 
-def render_serve_report(report: Dict[str, object]) -> str:
-    """A compact human-readable table of the serve load report."""
-    lines = [
-        f"{'leg':12s} {'reqs':>5s} {'uniq':>5s} {'rps':>8s} "
-        f"{'p50ms':>8s} {'p99ms':>8s} {'hits':>5s} {'ratio':>6s}"
-    ]
-    for leg in report["legs"]:
-        lines.append(
-            f"{leg['name']:12s} {leg['requests']:5d} {leg['unique']:5d} "
-            f"{leg['requests_per_sec']:8.1f} {leg['p50_ms']:8.1f} "
-            f"{leg['p99_ms']:8.1f} {leg['store_hits']:5d} {leg['hit_ratio']:6.2f}"
-        )
-    summary = report["summary"]
-    gate = summary["gate_warm_vs_cold_throughput"]
-    lines.append(
-        f"  cold: {summary['cold_rps']:.1f} req/s   warm: "
-        f"{summary['warm_rps']:.1f} req/s   warm/cold: "
-        + (f"{gate:.1f}x" if gate is not None else "n/a")
+# ---------------------------------------------------------------------------
+# The declarations
+# ---------------------------------------------------------------------------
+
+SUITES: Dict[str, Suite] = {
+    suite.name: suite
+    for suite in (
+        Suite(
+            "fixpoint",
+            "BENCH_fixpoint.json",
+            # 2: added the ``certification`` section.
+            2,
+            _run_fixpoint,
+            (
+                ("workload", "name", ""),
+                ("worklist", "worklist.median_seconds", ".4f"),
+                ("dense", "dense.median_seconds", ".4f"),
+                ("speedup", "speedup", ".1f"),
+                ("evals(w)", "worklist.evaluations", "d"),
+                ("evals(d)", "dense.evaluations", "d"),
+            ),
+        ),
+        Suite(
+            "logic",
+            "BENCH_logic.json",
+            1,
+            _run_logic,
+            (
+                ("workload", "name", ""),
+                ("queries", "queries", "d"),
+                ("inc q/s", "incremental.queries_per_second", ".0f"),
+                ("ref q/s", "reference.queries_per_second", ".0f"),
+                ("speedup", "speedup", ".1f"),
+                ("lemma", "incremental.stats.lemma_hits", "d"),
+                ("cache", "incremental.stats.theory_cache_hits", "d"),
+                ("pivots", "incremental.stats.simplex_pivots", "d"),
+            ),
+            gates=(
+                Gate("incremental.queries_per_second", ">=", None, 0.5, relative=True),
+            ),
+        ),
+        Suite(
+            "domains",
+            "BENCH_domains.json",
+            1,
+            _run_domains,
+            (
+                ("workload", "name", ""),
+                ("|E|", "examples", "d"),
+                ("ref ex/s", "reference.examples_per_sec", ".0f"),
+                ("py ex/s", "python.examples_per_sec", ".0f"),
+                ("np ex/s", "numpy.examples_per_sec", ".0f"),
+                ("np/ref", "numpy_vs_reference", ".1f"),
+                ("np/py", "numpy_vs_python", ".1f"),
+            ),
+            gates=(
+                Gate("gate_numpy_speedup_e1000", ">=", 5.0, 3.0),
+                Gate("gate_python_small_e_slowdown", "<=", 1.1, 1.3),
+            ),
+        ),
+        Suite(
+            "grammar",
+            "BENCH_grammar.json",
+            1,
+            _run_grammar,
+            (
+                ("workload", "name", ""),
+                ("|P| off", "productions.before", "d"),
+                ("|P| oe", "productions.after", "d"),
+                ("evals off", "off.evaluations", "d"),
+                ("evals oe", "oe.evaluations", "d"),
+                ("reduction", "evaluation_reduction", ".1f"),
+                ("oe/off", "wall_ratio_oe_vs_off", ".2f"),
+                ("cold", "speedup_cold", ".1f"),
+                ("warm", "speedup_warm", ".1f"),
+            ),
+            gates=(
+                Gate("gate_oe_evaluation_reduction", ">=", 2.0, 2.0),
+                Gate("gate_enumerator_speedup", ">=", 1.0, None),
+                Gate("gate_prune_wall_ratio", "<=", None, 1.25),
+            ),
+        ),
+        Suite(
+            "chaos",
+            "BENCH_chaos.json",
+            1,
+            _run_chaos,
+            (
+                ("scenario", "name", ""),
+                ("reqs", "requests", "d"),
+                ("ok", "ok", ""),
+                ("retries", "retries", "d"),
+                ("replaced", "workers_replaced", "d"),
+            ),
+            gates=(
+                Gate("requests", ">=", 20, 20),
+                Gate("all_well_formed", "==", True, True),
+                Gate("all_scenarios_ok", "==", True, True),
+                Gate("fault_kind_count", ">=", 4, 4),
+            ),
+            rows_key="scenarios",
+        ),
+        Suite(
+            "serve",
+            "BENCH_serve.json",
+            1,
+            _run_serve,
+            (
+                ("leg", "name", ""),
+                ("reqs", "requests", "d"),
+                ("uniq", "unique", "d"),
+                ("rps", "requests_per_sec", ".1f"),
+                ("p50ms", "p50_ms", ".1f"),
+                ("p99ms", "p99_ms", ".1f"),
+                ("hits", "store_hits", "d"),
+                ("ratio", "hit_ratio", ".2f"),
+            ),
+            gates=(
+                Gate("gate_warm_vs_cold_throughput", ">=", 5.0, 3.0),
+                Gate("all_schema_valid", "==", True, True),
+                Gate("all_definitive", "==", True, None),
+                Gate("warm_hit_ratio", ">=", 1.0, 1.0),
+            ),
+            rows_key="legs",
+        ),
     )
-    lines.append(
-        "  all schema-valid: "
-        + ("yes" if summary["all_schema_valid"] else "NO")
-        + "   all definitive: "
-        + ("yes" if summary["all_definitive"] else "NO")
-    )
-    return "\n".join(lines)
+}
+
+#: The suites ``--suite all`` runs: every timing suite (chaos and serve
+#: start worker fabrics and a server, so they run only when named).
+TIMING_SUITES = ("fixpoint", "logic", "domains", "grammar")

@@ -3,8 +3,8 @@
 Each pytest-benchmark entry measures one (tool, benchmark) cell of Table 1 on
 the benchmark's recorded witness example set — the final, dominating CEGIS
 iteration.  The module-level ``test_table1_rows`` run prints the full quick
-table (verdicts, measured time, paper time) so the harness output can be
-pasted into EXPERIMENTS.md.
+table (verdicts, measured time, paper time), the same rows ``python -m
+repro.experiments table1`` prints.
 """
 
 from __future__ import annotations

@@ -34,8 +34,6 @@ from repro.api import (
 )
 from repro.baselines import NayFin, NayHorn, NayInt, NaySL, Nope
 from repro.engine import (
-    ExperimentRunner,
-    Task,
     UnrealizabilityEngine,
     create_engine,
     engine_names,
@@ -79,8 +77,6 @@ __all__ = [
     "register_engine",
     "create_engine",
     "engine_names",
-    "ExperimentRunner",
-    "Task",
     "NaySolver",
     "NayConfig",
     "Verdict",

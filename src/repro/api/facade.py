@@ -12,15 +12,15 @@ code path:
   :class:`~repro.api.wire.SolveResponse`;
 * :func:`run_engine` — the shared engine-execution core (engine creation,
   wall-clock measurement, :class:`~repro.utils.errors.SolverLimitError`
-  mapping, and the two-sided timeout policy).  The experiment runner's
-  ``execute_task`` delegates here too, so the CLI, the batch/serve surface,
-  the experiment harness and the pytest benchmarks all share one
-  engine/example/timeout plumbing.
+  mapping, and the two-sided timeout policy of :func:`apply_timeout_policy`),
+  so the CLI, the batch/serve surface, the experiment harness and the
+  pytest benchmarks all share one engine/example/timeout plumbing.
 
 Requests and responses are plain wire data, so :meth:`Solver.solve_batch`
 can fan requests out to the supervised solve fabric
-(:class:`~repro.engine.supervisor.Supervisor`) and ``repro-nay serve`` can
-accept them over HTTP unchanged.
+(:class:`~repro.engine.supervisor.Supervisor`) — the experiments of
+:mod:`repro.experiments` run there as request lists — and ``repro-nay
+serve`` can accept them over HTTP unchanged.
 """
 
 from __future__ import annotations
@@ -145,6 +145,21 @@ def resolve_kind(request: SolveRequest, examples: ExampleSet) -> str:
 # ---------------------------------------------------------------------------
 
 
+def apply_timeout_policy(
+    verdict: Verdict, elapsed: float, timeout: Optional[float]
+) -> Verdict:
+    """Late two-sided verdicts survive; only undetermined outcomes time out.
+
+    A run that finishes past its deadline with a definitive verdict
+    (``UNREALIZABLE`` *or* ``REALIZABLE``) keeps it; ``UNKNOWN`` and
+    resource-limit outcomes past the deadline become ``TIMEOUT``.
+    """
+    if timeout is not None and elapsed > timeout:
+        if verdict not in (Verdict.UNREALIZABLE, Verdict.REALIZABLE):
+            return Verdict.TIMEOUT
+    return verdict
+
+
 def run_engine(
     engine_name: str,
     kind: str,
@@ -160,13 +175,12 @@ def run_engine(
     """Run one engine on one problem and report the outcome in wire form.
 
     This is the single place engines are instantiated and timed for solving:
-    the facade, the portfolio racer, and the experiment runner's
-    ``execute_task`` all call it.  A ``check`` with no examples falls back to
-    the full CEGIS ``solve`` (nothing to check against), matching the
-    historical runner semantics.  The two-sided timeout policy of
-    :func:`repro.engine.runner.apply_timeout_policy` is applied to the
-    measured wall time: late definitive verdicts survive, undetermined late
-    outcomes become ``timeout``.
+    the facade (and through it the experiments) and the portfolio racer
+    both call it.  A ``check`` with no examples falls back to the full
+    CEGIS ``solve`` (nothing to check against).  The two-sided timeout
+    policy of :func:`apply_timeout_policy` is applied to the measured wall
+    time: late definitive verdicts survive, undetermined late outcomes
+    become ``timeout``.
 
     ``tags`` is the request's free-form tag mapping; its consumers here are
     the fault-injection layer (``tags["faults"]`` /
@@ -184,7 +198,6 @@ def run_engine(
     bypass the store entirely — in both directions — so chaos traffic can
     never serve from or poison it.
     """
-    from repro.engine.runner import apply_timeout_policy
     from repro.engine.store import get_result_store, response_cacheable
     from repro.logic.solver import runtime_counters
     from repro.testing.faults import faults_armed, inject_faults
@@ -572,8 +585,9 @@ class Solver:
         response instead of stalling the batch.  With ``workers > 1`` the
         batch runs on the ambient fabric when one is installed (``serve``),
         otherwise on an ephemeral :class:`~repro.engine.supervisor.Supervisor`
-        — either way a crashed worker is replaced and its request retried
-        instead of poisoning the whole batch.
+        of at most one worker per pending request and a breaker board that
+        never trips — either way a crashed worker is replaced and its
+        request retried instead of poisoning the whole batch.
 
         When a persistent result store is configured, already-solved
         fingerprints are served from it *before* any dispatch (marked
@@ -622,13 +636,23 @@ class Solver:
         if workers == 1 or len(todo) <= 1:
             solved = [execute_request(request) for request in todo]
         else:
-            from repro.engine.supervisor import Supervisor, get_fabric
+            from repro.engine.supervisor import BreakerBoard, Supervisor, get_fabric
 
             fabric = get_fabric()
             if fabric is not None:
                 solved = fabric.map(todo)
             else:
-                with Supervisor(workers, warm=False, name="batch") as ephemeral:
+                # Every request of a batch was asked for explicitly, so none
+                # is refused because its neighbours timed out or crashed: the
+                # ephemeral fabric's breakers never trip, and the rows do not
+                # depend on order, worker count or earlier batches.
+                size = min(workers, len(todo))
+                with Supervisor(
+                    size,
+                    warm=False,
+                    breakers=BreakerBoard(threshold=None),
+                    name="batch",
+                ) as ephemeral:
                     solved = ephemeral.map(todo)
         for index, response in zip(pending, solved):
             responses[index] = response

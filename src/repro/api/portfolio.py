@@ -12,11 +12,11 @@ strength into latency:
   (``unrealizable``/``realizable``) wins, and the losers are cancelled
   outright (their workers killed and replaced).  A leg that crashes is an
   ``error`` result for that engine only — the race keeps going on the
-  surviving workers, which is the whole point of the fabric: under the old
-  ``ProcessPoolExecutor`` substrate one dead leg marked the pool broken and
-  tore down every sibling.  Engines whose circuit breaker is open are
-  skipped up front (``details["portfolio"]["skipped"]``) and re-admitted by
-  half-open probes once their cooldown passes.
+  surviving workers, which is the whole point of the fabric: on a plain
+  process pool one dead leg marks the pool broken and tears down every
+  sibling.  Engines whose circuit breaker is open are skipped up front
+  (``details["portfolio"]["skipped"]``) and re-admitted by half-open
+  probes once their cooldown passes.
 * ``engine="staged"`` (:func:`solve_staged`) — engines run *in order of
   cost*, in-process: the cheap abstract domains (``nayInt``, ``nayFin``)
   first, escalating to ``nayHorn`` and finally exact ``naySL`` only while
@@ -96,7 +96,6 @@ def solve_portfolio(request: SolveRequest) -> SolveResponse:
     which still lets the fastest engine win.
     """
     from repro.api.facade import execute_request
-    from repro.engine.runner import hard_guard
     from repro.engine.supervisor import (
         FabricSaturatedError,
         Job,
@@ -104,6 +103,7 @@ def solve_portfolio(request: SolveRequest) -> SolveResponse:
         WorkerCrashError,
         get_breakers,
         get_fabric,
+        hard_guard,
     )
     from repro.testing.faults import in_worker_process
 

@@ -1,4 +1,4 @@
-"""The pluggable engine subsystem: registry, cache, runner, results.
+"""The pluggable engine subsystem: registry, cache, results, solve fabric.
 
 See DESIGN.md for the architecture.  In short:
 
@@ -6,11 +6,13 @@ See DESIGN.md for the architecture.  In short:
 * :mod:`repro.engine.registry` — ``@register_engine`` and name-based lookup
   (the *only* way consumers construct engines);
 * :mod:`repro.engine.cache` — process-wide memoization of grammar
-  normalization and GFA equation construction;
+  normalization and grammar pruning;
 * :mod:`repro.engine.results` — JSONL persistence and stable-field
   comparison of experiment rows;
-* :mod:`repro.engine.runner` — the batched, optionally process-parallel
-  experiment runner with a two-sided timeout policy.
+* :mod:`repro.engine.supervisor` — the supervised solve fabric that
+  ``Solver.solve_batch`` (and so the experiments), the portfolio and
+  ``repro-nay serve`` run worker processes on;
+* :mod:`repro.engine.store` — the persistent result store.
 """
 
 from repro.engine.base import EngineConfigMixin, UnrealizabilityEngine
@@ -27,13 +29,6 @@ from repro.engine.results import (
     render_stable,
     stable_fingerprint,
     stable_view,
-)
-from repro.engine.runner import (
-    ExperimentRunner,
-    Task,
-    apply_timeout_policy,
-    pool_map,
-    shutdown_pool_now,
 )
 
 __all__ = [
@@ -52,9 +47,4 @@ __all__ = [
     "stable_view",
     "stable_fingerprint",
     "render_stable",
-    "ExperimentRunner",
-    "Task",
-    "apply_timeout_policy",
-    "pool_map",
-    "shutdown_pool_now",
 ]

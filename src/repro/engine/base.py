@@ -19,8 +19,7 @@ An engine is any object with
   (engines are immutable values, so configuring never aliases state).
 
 The three built-in engines are plain frozen-style dataclasses, which makes
-``configure`` a ``dataclasses.replace`` and keeps engines picklable for the
-process-pool experiment runner (:mod:`repro.engine.runner`).
+``configure`` a ``dataclasses.replace``.
 """
 
 from __future__ import annotations

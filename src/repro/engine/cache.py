@@ -1,11 +1,11 @@
-"""Memoization of grammar normalization and GFA equation construction.
+"""Memoization of grammar normalization and grammar pruning.
 
 The experiment sweeps repeat an enormous amount of structural work: the
 Fig. 2 series solves the *same* chain grammar once per example count, and
 every (tool, benchmark) cell of Tables 1/2 re-normalizes the benchmark's
 grammar for each engine.  Normalization (:func:`normalize_for_gfa`) and
-equation-system construction (:func:`build_lia_equations`) are pure
-functions of immutable inputs, so this module caches them process-wide.
+pruning (:func:`prune_grammar`) are pure functions of immutable inputs, so
+this module caches them process-wide.
 
 Cache keys (documented in DESIGN.md):
 
@@ -14,19 +14,19 @@ Cache keys (documented in DESIGN.md):
   two independently constructed but identical grammars (e.g. the scaling
   benchmark rebuilt per sweep point) share one cache entry; the grammar's
   display ``name`` is deliberately excluded.
-* **LIA equation system** — keyed by ``(grammar fingerprint, examples)``;
-  the system's constant semi-linear sets embed the example projections, so
-  the example set is part of the key.  :class:`~repro.semantics.examples.ExampleSet`
-  is hashable by value.
+* **pruned grammar** — keyed by ``(grammar fingerprint, examples, mode)``;
+  the example set joins the key only for the example-dependent ``"oe"``
+  mode.
 
-Both cached values are immutable (grammars are never mutated after
-construction; :class:`~repro.gfa.equations.EquationSystem` is built from
-frozen monomials and the Newton solver only derives restricted copies), so
-sharing entries across callers is safe.
+GFA equation systems are not cached: they embed the example set, which
+CEGIS grows every round, so such a memo never hits.  Cached values are
+immutable (grammars are never mutated after construction), so sharing
+entries across callers is safe.
 
-Each worker process of the experiment runner holds its own cache — hits are
-per-process, which is exactly what the runner's task batching exploits by
-keeping same-grammar tasks adjacent.
+Every process holds its own cache — an in-process experiment run, each
+solve-fabric worker and ``repro-nay serve`` alike; the experiments keep a
+benchmark's cells adjacent so its grammar is normalized once, not once per
+engine.
 """
 
 from __future__ import annotations
@@ -36,10 +36,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Hashable
 
-from repro.domains.clia import CliaInterpretation
 from repro.domains.semilinear import clear_semilinear_caches, semilinear_cache_stats
-from repro.gfa.builder import build_lia_equations
-from repro.gfa.equations import EquationSystem
 from repro.grammar.automaton import PruneReport, prune_grammar
 from repro.grammar.rtg import RegularTreeGrammar
 from repro.grammar.transforms import normalize_for_gfa
@@ -59,8 +56,6 @@ class CacheStats:
 
     normalize_hits: int = 0
     normalize_misses: int = 0
-    equations_hits: int = 0
-    equations_misses: int = 0
     prune_hits: int = 0
     prune_misses: int = 0
 
@@ -68,15 +63,13 @@ class CacheStats:
         return {
             "normalize_hits": self.normalize_hits,
             "normalize_misses": self.normalize_misses,
-            "equations_hits": self.equations_hits,
-            "equations_misses": self.equations_misses,
             "prune_hits": self.prune_hits,
             "prune_misses": self.prune_misses,
         }
 
 
 class GfaCache:
-    """An LRU cache over the two pure construction steps of the GFA pipeline.
+    """An LRU cache over the pure grammar-preparation steps of the GFA pipeline.
 
     ``max_entries`` bounds each table independently; the default comfortably
     covers a full experiment sweep while keeping worst-case memory bounded
@@ -88,7 +81,6 @@ class GfaCache:
         self.enabled = enabled
         self.stats = CacheStats()
         self._normalized: "OrderedDict[Hashable, RegularTreeGrammar]" = OrderedDict()
-        self._equations: "OrderedDict[Hashable, EquationSystem]" = OrderedDict()
         self._pruned: "OrderedDict[Hashable, tuple]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -108,30 +100,6 @@ class GfaCache:
         value = normalize_for_gfa(grammar)
         with self._lock:
             self._put(self._normalized, key, value)
-        return value
-
-    def lia_equations(
-        self, normalized: RegularTreeGrammar, examples: ExampleSet
-    ) -> EquationSystem:
-        """``build_lia_equations`` over an already-normalized grammar, memoized.
-
-        The interpretation is derived from the example set here rather than
-        accepted as a parameter: the example set is the cache key, so letting
-        callers supply their own interpretation would alias different
-        interpretations onto one entry.
-        """
-        if not self.enabled:
-            return build_lia_equations(normalized, CliaInterpretation(examples))
-        key = (grammar_fingerprint(normalized), examples)
-        with self._lock:
-            cached = self._get(self._equations, key)
-            if cached is not None:
-                self.stats.equations_hits += 1
-                return cached
-            self.stats.equations_misses += 1
-        value = build_lia_equations(normalized, CliaInterpretation(examples))
-        with self._lock:
-            self._put(self._equations, key, value)
         return value
 
     def pruned(
@@ -170,7 +138,6 @@ class GfaCache:
     def clear(self) -> None:
         with self._lock:
             self._normalized.clear()
-            self._equations.clear()
             self._pruned.clear()
             self.stats = CacheStats()
 

@@ -1,6 +1,6 @@
 """Persistence and comparison of experiment results.
 
-Every runner invocation can append its rows to a JSONL file under a results
+Every experiment run can append its rows to a JSONL file under a results
 directory (one file per experiment, one JSON object per row), so benchmark
 trajectories are reproducible and later runs can be diffed against earlier
 ones instead of re-running everything.
@@ -8,8 +8,8 @@ ones instead of re-running everything.
 Rows carry two kinds of fields:
 
 * **stable** fields — suite, benchmark, tool, verdict, example counts —
-  which are deterministic for a fixed task list (the runner guarantees the
-  same rows for ``workers=1`` and ``workers=N``);
+  which are deterministic for a fixed request list (``Solver.solve_batch``
+  returns the same rows for ``workers=1`` and ``workers=N``);
 * **timing** fields — anything measured with a wall clock — which vary
   between runs and machines.
 

@@ -1,12 +1,12 @@
 """The supervised solve fabric: pre-warmed workers that survive their engines.
 
-The portfolio racer, ``Solver.solve_batch`` and ``repro-nay serve`` all used
-to run legs on throwaway ``ProcessPoolExecutor`` pools.  That design has no
-failure story: a leg that dies poisons the whole pool (every sibling future
-collapses with ``BrokenProcessPool``), a stuck worker is only caught by the
-parent's 3x wall-clock guard, and every pool start re-pays the import and
-cache warm-up an engine needs.  :class:`Supervisor` replaces that substrate
-with a *supervised* pool:
+The portfolio racer, ``Solver.solve_batch`` (and through it the experiment
+harness) and ``repro-nay serve`` all run their worker processes here.  A
+plain throwaway process pool has no failure story: a leg that dies poisons
+the whole pool (every sibling future collapses with a broken-pool error), a
+stuck worker is only caught by the parent's 3x wall-clock guard, and every
+pool start re-pays the import and cache warm-up an engine needs.
+:class:`Supervisor` is a *supervised* pool instead:
 
 * **pre-warmed, persistent workers** — each worker process imports the
   engine stack and runs one tiny end-to-end check at start, so the intern
@@ -56,7 +56,6 @@ from multiprocessing.connection import wait as connection_wait
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.api.wire import SolveRequest, SolveResponse, error_response
-from repro.engine.runner import hard_guard
 from repro.utils.errors import ReproError
 
 #: Default fabric size (overridable per supervisor or via REPRO_NAY_WORKERS).
@@ -69,6 +68,11 @@ READY_TIMEOUT_SECONDS = 60.0
 #: SIGTERM → SIGKILL escalation grace when retiring a worker.
 TERM_GRACE_SECONDS = 1.0
 
+#: Hard wall-clock guard: how long past a request's soft timeout the parent
+#: waits for a worker before writing the request off as ``timeout``.
+HARD_TIMEOUT_FACTOR = 3.0
+HARD_TIMEOUT_MARGIN = 30.0
+
 #: Slice size for liveness-checking polls while a job is outstanding: the
 #: busy-worker heartbeat.  Small enough that a SIGKILLed worker is noticed
 #: promptly even if pipe EOF is delayed by inherited descriptors.
@@ -80,6 +84,19 @@ def default_worker_count() -> int:
     if configured:
         return max(1, int(configured))
     return max(2, min(4, os.cpu_count() or 2))
+
+
+def hard_guard(timeout: Optional[float]) -> Optional[float]:
+    """The hard wall-clock budget for a soft timeout (None = unbounded).
+
+    One policy for every supervised surface: ``Supervisor.solve`` (and so
+    ``solve_batch`` and the experiments), the portfolio racer and the serve
+    endpoint's in-flight dedup all wait this long before writing a worker
+    off as stuck.
+    """
+    if timeout is None:
+        return None
+    return timeout * HARD_TIMEOUT_FACTOR + HARD_TIMEOUT_MARGIN
 
 
 class FabricError(ReproError):
@@ -145,18 +162,19 @@ class CircuitBreaker:
     ``cooldown_seconds`` have passed, then a single half-open probe is let
     through — its success closes the breaker, its failure re-opens it (and
     restarts the cooldown).  Thread-safe; failures are *consecutive*, so any
-    success resets the count.
+    success resets the count.  ``threshold=None`` counts failures but never
+    trips.
     """
 
     def __init__(
         self,
         name: str,
         *,
-        threshold: int = 3,
+        threshold: Optional[int] = 3,
         cooldown_seconds: float = 30.0,
     ):
         self.name = name
-        self.threshold = max(1, int(threshold))
+        self.threshold = None if threshold is None else max(1, int(threshold))
         self.cooldown_seconds = cooldown_seconds
         self.state = "closed"  # "closed" | "open" | "half_open"
         self.consecutive_failures = 0
@@ -198,7 +216,11 @@ class CircuitBreaker:
                 self.consecutive_failures += 1
                 return
             self.consecutive_failures += 1
-            if self.state == "closed" and self.consecutive_failures >= self.threshold:
+            if (
+                self.state == "closed"
+                and self.threshold is not None
+                and self.consecutive_failures >= self.threshold
+            ):
                 self.state = "open"
                 self.trips += 1
                 self._opened_at = time.monotonic()
@@ -215,7 +237,9 @@ class CircuitBreaker:
 class BreakerBoard:
     """One :class:`CircuitBreaker` per engine, created lazily."""
 
-    def __init__(self, *, threshold: int = 3, cooldown_seconds: float = 30.0):
+    def __init__(
+        self, *, threshold: Optional[int] = 3, cooldown_seconds: float = 30.0
+    ):
         self.threshold = threshold
         self.cooldown_seconds = cooldown_seconds
         self._breakers: Dict[str, CircuitBreaker] = {}

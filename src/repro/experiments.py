@@ -1,14 +1,23 @@
 """The experiment harness: regenerates every table and figure of §8.
 
-Each public function builds a *declarative task list* and hands it to the
-:class:`~repro.engine.runner.ExperimentRunner` — the same runner backs the
-pytest benchmarks in ``benchmarks/``, the command line (``python -m
-repro.experiments <experiment> [--workers N] [--out results/]``), and
-EXPERIMENTS.md.  Engines are resolved exclusively through
-:mod:`repro.engine.registry`, so adding a fourth tool to every table is a
-one-line change to :data:`ENGINE_ORDER`; the actual solving of every cell
-flows through the api facade's :func:`repro.api.facade.run_engine`, the one
-engine/timeout execution path shared with the CLI and ``repro-nay serve``.
+Every cell of Tables 1/2 and Figs. 3/5 is one independent solve — an
+engine, a benchmark and an example set — so each experiment builds a list
+of :class:`~repro.api.wire.SolveRequest` values and runs them with
+:meth:`repro.api.facade.Solver.solve_batch`: in-process for ``workers=1``,
+on an ephemeral supervised solve fabric
+(:class:`~repro.engine.supervisor.Supervisor`) otherwise — the same path as
+``repro-nay batch``.  Rows come back in request order whatever the worker
+count; a cell whose worker crashes on every attempt reports the fabric's
+``error`` row.  Figs. 2/4 time a raw semi-linear-set solve
+(:func:`repro.unreal.lia.solve_lia_gfa`), not an engine, and always run
+serially in-process.
+
+The command line is ``python -m repro.experiments <experiment> [--full]
+[--workers N] [--out results/]``; ``--out`` appends the rows as JSONL
+(:class:`~repro.engine.results.ResultsStore`), and the pytest benchmarks in
+``benchmarks/`` call the same functions.  Engines are resolved through
+:mod:`repro.engine.registry`, so adding a tool to every table is a one-line
+change to :data:`ENGINE_ORDER`.
 
 Experiments (see DESIGN.md's per-experiment index):
 
@@ -30,12 +39,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.runner import ExperimentRunner, Task
+from repro.api.facade import Solver
+from repro.api.wire import SolveRequest
+from repro.engine.results import ResultsStore
 from repro.suites import benchmarks_by_suite
 from repro.suites.base import Benchmark
+from repro.suites.scaling import example_set, scaling_benchmark
+from repro.sygus import print_sygus
 
 #: The tools of the §8 comparison, in table column order.  Every experiment
 #: resolves these through the engine registry; registering a new engine and
@@ -113,8 +127,45 @@ def _select(benchmarks: Sequence[Benchmark], names: Optional[Sequence[str]]) -> 
     return [by_name[name] for name in names if name in by_name]
 
 
-def _runner(workers: int, timeout: Optional[float], out: Optional[str]) -> ExperimentRunner:
-    return ExperimentRunner(workers=workers, timeout=timeout, out=out)
+def _persist(
+    experiment: str, rows: List[Dict[str, object]], workers: int, out: Optional[str]
+) -> None:
+    if out:
+        ResultsStore(out).append(experiment, rows, meta={"workers": workers})
+
+
+#: One solve cell: the benchmark it measures, its request, the size of the
+#: example set it starts from, and the row annotations added in the parent
+#: (never sent as request tags, which feed store fingerprints and the fault
+#: channel).  The size stands in for the response's ``num_examples`` only
+#: when that reads 0: an ``error`` or hard-guard ``timeout`` response never
+#: resolved its examples.  (A benchmark without witness examples starts
+#: from none; the facade solves it by CEGIS.)
+Cell = Tuple[Benchmark, SolveRequest, int, Dict[str, object]]
+
+
+def _run_cells(
+    experiment: str, cells: Sequence[Cell], workers: int, out: Optional[str]
+) -> List[Dict[str, object]]:
+    """Solve every cell on ``Solver.solve_batch`` and build its row."""
+    responses = Solver().solve_batch(
+        [request for _, request, _, _ in cells], workers=workers
+    )
+    rows = [
+        {
+            "suite": benchmark.suite,
+            "benchmark": benchmark.name,
+            "tool": response.engine,
+            "verdict": response.verdict,
+            "seconds": response.elapsed_seconds,
+            "examples": response.num_examples or examples,
+            "paper_seconds": benchmark.paper.get(response.engine),
+            **extra,
+        }
+        for (benchmark, _, examples, extra), response in zip(cells, responses)
+    ]
+    _persist(experiment, rows, workers, out)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +173,27 @@ def _runner(workers: int, timeout: Optional[float], out: Optional[str]) -> Exper
 # ---------------------------------------------------------------------------
 
 
-def _table_tasks(benchmarks: Sequence[Benchmark], timeout: float) -> List[Task]:
+def _table_cells(benchmarks: Sequence[Benchmark], timeout: float) -> List[Cell]:
     """The (benchmark x engine) grid, benchmark-major like the paper's tables.
 
     Keeping the per-benchmark cells adjacent also keeps the grammar cache hot:
-    all three engines normalize the same grammar back to back.
+    all three engines normalize the same grammar back to back.  ``suite`` is
+    part of every request because some names (``guard1``, ``search_2``, ...)
+    exist in more than one suite.
     """
     return [
-        Task(
-            kind="check",
-            engine=engine,
-            knobs={"seed": 0},
-            benchmark=benchmark.name,
-            suite=benchmark.suite,
-            timeout=timeout,
+        (
+            benchmark,
+            SolveRequest(
+                kind="check",
+                engine=engine,
+                benchmark=benchmark.name,
+                suite=benchmark.suite,
+                seed=0,
+                timeout_seconds=timeout,
+            ),
+            len(benchmark.witness_examples or ()),
+            {},
         )
         for benchmark in benchmarks
         for engine in ENGINE_ORDER
@@ -155,7 +213,7 @@ def table1(
         benchmarks = _select(benchmarks, QUICK_TABLE1)
     else:
         benchmarks = [b for b in benchmarks if b.witness_examples is not None]
-    rows = _runner(workers, timeout, out).run(_table_tasks(benchmarks, timeout), "table1")
+    rows = _run_cells("table1", _table_cells(benchmarks, timeout), workers, out)
     return [ExperimentRow.from_dict(row) for row in rows]
 
 
@@ -169,7 +227,7 @@ def table2(
     benchmarks = benchmarks_by_suite()["LimitedConst"]
     if quick:
         benchmarks = _select(benchmarks, QUICK_TABLE2)
-    rows = _runner(workers, timeout, out).run(_table_tasks(benchmarks, timeout), "table2")
+    rows = _run_cells("table2", _table_cells(benchmarks, timeout), workers, out)
     return [ExperimentRow.from_dict(row) for row in rows]
 
 
@@ -178,10 +236,28 @@ def table2(
 # ---------------------------------------------------------------------------
 
 
+def _gfa_point(size: int, count: int, stratify: bool = True) -> Dict[str, object]:
+    """One raw semi-linear-set solve (a Fig. 2 / Fig. 4 measurement)."""
+    from repro.unreal.lia import solve_lia_gfa
+
+    benchmark = scaling_benchmark(size)
+    examples = example_set(count)
+    start = time.monotonic()
+    solution = solve_lia_gfa(benchmark.problem.grammar, examples, stratify=stratify)
+    elapsed = time.monotonic() - start
+    return {
+        "benchmark": benchmark.name,
+        "nonterminals": benchmark.problem.grammar.num_nonterminals,
+        "examples": len(examples),
+        "seconds": round(elapsed, 4),
+        "semilinear_size": solution.start_value.size,
+        "stratify": stratify,
+    }
+
+
 def fig2(
     sizes: Optional[Sequence[int]] = None,
     example_counts: Sequence[int] = (1, 2, 3, 4),
-    workers: int = 1,
     out: Optional[str] = None,
 ) -> List[Dict[str, object]]:
     """Fig. 2: time to compute the semi-linear set vs |N|, one series per |E|.
@@ -192,12 +268,8 @@ def fig2(
     """
     if sizes is None:
         sizes = [3, 5, 8, 11, 14]
-    tasks = [
-        Task(kind="gfa", scaling_size=size, example_count=count)
-        for count in example_counts
-        for size in sizes
-    ]
-    rows = _runner(workers, None, out).run(tasks, "fig2")
+    rows = [_gfa_point(size, count) for count in example_counts for size in sizes]
+    _persist("fig2", rows, 1, out)
     return [
         {
             "examples": row["examples"],
@@ -209,21 +281,34 @@ def fig2(
     ]
 
 
-def _series_tasks(engine: str, example_counts, sizes) -> List[Task]:
-    return [
-        Task(
-            kind="check",
-            engine=engine,
-            knobs={"seed": 0},
-            scaling_size=size,
-            example_count=count,
-        )
-        for size in sizes
-        for count in example_counts
-    ]
+def _series(
+    experiment: str,
+    engine: str,
+    example_counts: Sequence[int],
+    sizes: Sequence[int],
+    workers: int,
+    out: Optional[str],
+) -> List[Dict[str, object]]:
+    """One engine over the scaling grammars: a |E| series per |N|.
 
-
-def _series_points(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
+    Scaling sizes have no suite name :func:`repro.suites.get_benchmark` can
+    resolve, so each request carries its problem inline as SyGuS-IF.
+    """
+    cells: List[Cell] = []
+    for size in sizes:
+        benchmark = scaling_benchmark(size)
+        sl = print_sygus(benchmark.problem)
+        for count in example_counts:
+            examples = example_set(count)
+            request = SolveRequest(
+                kind="check",
+                engine=engine,
+                sl=sl,
+                examples=list(examples.as_dicts()),
+                seed=0,
+            )
+            cells.append((benchmark, request, len(examples), {"nonterminals": size}))
+    rows = _run_cells(experiment, cells, workers, out)
     return [
         {
             "nonterminals": row["nonterminals"],
@@ -242,11 +327,7 @@ def fig3(
     out: Optional[str] = None,
 ) -> List[Dict[str, object]]:
     """Fig. 3: nayHorn running time vs |E|, one series per |N|."""
-    tasks = _series_tasks("nayHorn", example_counts, sizes)
-    for task in tasks:
-        task.tags["nonterminals"] = task.scaling_size
-    rows = _runner(workers, None, out).run(tasks, "fig3")
-    return _series_points(rows)
+    return _series("fig3", "nayHorn", example_counts, sizes, workers, out)
 
 
 def fig5(
@@ -256,28 +337,23 @@ def fig5(
     out: Optional[str] = None,
 ) -> List[Dict[str, object]]:
     """Fig. 5: nope running time vs |E|, one series per |N|."""
-    tasks = _series_tasks("nope", example_counts, sizes)
-    for task in tasks:
-        task.tags["nonterminals"] = task.scaling_size
-    rows = _runner(workers, None, out).run(tasks, "fig5")
-    return _series_points(rows)
+    return _series("fig5", "nope", example_counts, sizes, workers, out)
 
 
 def fig4(
     sizes: Optional[Sequence[int]] = None,
     example_count: int = 2,
-    workers: int = 1,
     out: Optional[str] = None,
 ) -> List[Dict[str, object]]:
     """Fig. 4: naySL solve time with vs without grammar stratification."""
     if sizes is None:
         sizes = [5, 8, 11, 14, 17]
-    tasks = [
-        Task(kind="gfa", scaling_size=size, example_count=example_count, stratify=stratify)
+    rows = [
+        _gfa_point(size, example_count, stratify)
         for size in sizes
         for stratify in (True, False)
     ]
-    rows = _runner(workers, None, out).run(tasks, "fig4")
+    _persist("fig4", rows, 1, out)
     points: List[Dict[str, object]] = []
     for stratified, unstratified in zip(rows[0::2], rows[1::2]):
         with_stratification = float(stratified["seconds"])  # type: ignore[arg-type]
@@ -326,11 +402,12 @@ def render_rows(rows: Sequence[Dict[str, object]] | Sequence[ExperimentRow]) -> 
 EXPERIMENTS = {
     "table1": lambda quick, **kw: table1(quick=quick, **kw),
     "table2": lambda quick, **kw: table2(quick=quick, **kw),
-    "fig2": lambda quick, **kw: fig2(sizes=[3, 5, 8] if quick else None, **kw),
+    # Figs. 2/4 always run in-process: ``workers`` does not apply to them.
+    "fig2": lambda quick, workers=1, out=None: fig2(sizes=[3, 5, 8] if quick else None, out=out),
     "fig3": lambda quick, **kw: fig3(
         example_counts=(1, 2, 3) if quick else (1, 2, 3, 4, 5, 6), **kw
     ),
-    "fig4": lambda quick, **kw: fig4(sizes=[5, 8, 11] if quick else None, **kw),
+    "fig4": lambda quick, workers=1, out=None: fig4(sizes=[5, 8, 11] if quick else None, out=out),
     "fig5": lambda quick, **kw: fig5(
         example_counts=(1, 2, 3) if quick else (1, 2, 3, 4, 5, 6), **kw
     ),
@@ -348,7 +425,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--full", action="store_true", help="run the full (slow) configuration"
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="process-pool size (1 = in-process)"
+        "--workers", type=int, default=1, help="solve-fabric size (1 = in-process)"
     )
     parser.add_argument(
         "--out", default=None, help="directory to persist JSONL results under"

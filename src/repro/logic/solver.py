@@ -22,10 +22,9 @@ Three layers of reuse sit on top of the bare search:
 * **A cross-query result cache.**  Theory verdicts are memoized in a
   bounded LRU keyed on the *canonical interned conjunction* (the sorted
   atom identities), so the near-identical conjunctions produced by the
-  subsumption / CLIA / CEGIS pipelines hit instead of re-solving.  The
-  cache pickles by converting entries to structural atom keys and
-  re-interning on load, so it can cross the experiment runner's process
-  pools.  :mod:`repro.engine.cache` exposes ``clear_cache()`` /
+  subsumption / CLIA / CEGIS pipelines hit instead of re-solving.  Atom ids
+  are per-process, so the cache is too: nothing ships it between processes.
+  :mod:`repro.engine.cache` exposes ``clear_cache()`` /
   ``runtime_cache_stats()`` over both structures.
 
 * **:class:`SolverContext`** — push/pop assertion scopes with
@@ -119,7 +118,6 @@ STAT_KEYS = (
 
 _INTERN_LOCK = threading.Lock()
 _ATOM_IDS: Dict[Atom, int] = {}
-_ATOM_BY_ID: Dict[int, Atom] = {}
 _NEXT_ATOM_ID = 0
 
 
@@ -134,7 +132,6 @@ def _atom_id(atom: Atom) -> int:
             aid = _NEXT_ATOM_ID
             _NEXT_ATOM_ID += 1
             _ATOM_IDS[atom] = aid
-            _ATOM_BY_ID[aid] = atom
     return aid
 
 
@@ -271,35 +268,9 @@ class _BoundedLru:
         }
 
 
-class LogicQueryCache(_BoundedLru):
-    """Bounded LRU over theory-conjunction verdicts.
-
-    In-process keys are sorted atom-id tuples (cheap); pickling converts
-    every entry to structural atom form and unpickling re-interns, so a
-    warmed cache can ship across the runner's process pools intact.
-    """
-
-    def __init__(self, max_entries: int = 65536):
-        super().__init__(max_entries)
-
-    # -- pickling (structural form) -------------------------------------------
-
-    def __getstate__(self) -> dict:
-        with self._lock:
-            entries = [
-                (tuple(_ATOM_BY_ID[aid] for aid in key), value)
-                for key, value in self._table.items()
-            ]
-        return {"max_entries": self.max_entries, "entries": entries}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["max_entries"])
-        for atoms, value in state["entries"]:
-            self._table[tuple(sorted(_atom_id(atom) for atom in atoms))] = value
-
-
 _LEMMAS = LemmaStore()
-_QUERY_CACHE = LogicQueryCache()
+#: Theory-conjunction verdicts, keyed by sorted interned atom-id tuples.
+_QUERY_CACHE = _BoundedLru(max_entries=65536)
 
 #: Formula-level result memo: maps the (normalized) root-formula tuple of a
 #: whole search to its verdict and model.  The theory cache below it dedupes
@@ -343,7 +314,6 @@ def clear_logic_caches() -> None:
     _LEMMAS.clear()
     with _INTERN_LOCK:
         _ATOM_IDS.clear()
-        _ATOM_BY_ID.clear()
 
 
 # ---------------------------------------------------------------------------

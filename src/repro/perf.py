@@ -617,9 +617,8 @@ def _capture_fig2_stream(points: Sequence[Tuple[int, int]]) -> List[Formula]:
     """The solver queries of the fig2 exact-Newton scaling sweep.
 
     Every cell runs the full stratified Newton solve (subsumption-based
-    simplification included), with cold caches per cell exactly like the
-    experiment runner; the recorded stream is the concatenation over the
-    ``|N| x |E|`` sweep.
+    simplification included), with cold caches per cell; the recorded
+    stream is the concatenation over the ``|N| x |E|`` sweep.
     """
     sink: List[Formula] = []
     with record_queries(sink):

@@ -18,8 +18,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.domains.clia import CliaInterpretation
 from repro.domains.semilinear import SemiLinearSet
 from repro.engine.cache import get_cache
+from repro.gfa.builder import build_lia_equations
 from repro.gfa.newton import solve_newton, solve_stratified
 from repro.gfa.semiring import SemiLinearSemiring
 from repro.gfa.stratify import equation_strata, single_stratum
@@ -91,7 +93,7 @@ def solve_lia_gfa(
             empty, {normalized.start: empty}, 0.0, prune_report=report
         )
 
-    system = cache.lia_equations(normalized, examples)
+    system = build_lia_equations(normalized, CliaInterpretation(examples))
     strata = equation_strata(system) if stratify else single_stratum(system)
     solution = solve_stratified(system, semiring, strata, strategy=strategy)
     elapsed = time.monotonic() - start_time

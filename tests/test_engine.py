@@ -1,16 +1,14 @@
-"""Tests for the engine subsystem: registry, checker injection, runner,
-cache accounting, and JSONL persistence."""
+"""Tests for the engine subsystem: registry, checker injection, the
+experiments on ``solve_batch``, cache accounting, and JSONL persistence."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api.facade import apply_timeout_policy
 from repro.baselines import NayHorn, NaySL, Nope
 from repro.engine import (
-    ExperimentRunner,
-    Task,
     UnknownEngineError,
-    apply_timeout_policy,
     cache_stats,
     clear_cache,
     create_engine,
@@ -22,10 +20,10 @@ from repro.engine import (
 )
 from repro.engine.cache import GfaCache, grammar_fingerprint
 from repro.engine.results import ResultsStore
-from repro.experiments import ENGINE_ORDER, fig2, table1
+from repro.experiments import ENGINE_ORDER, fig2, fig3, table1
 from repro.semantics.examples import ExampleSet
 from repro.suites import get_benchmark
-from repro.suites.scaling import chain_grammar, example_set
+from repro.suites.scaling import chain_grammar
 from repro.unreal.cegis import NayConfig, NaySolver
 from repro.unreal.result import CheckResult, Verdict
 from repro.utils.errors import ReproError
@@ -112,54 +110,80 @@ class TestTimeoutPolicy:
         assert apply_timeout_policy(Verdict.UNKNOWN, 100.0, None) == Verdict.UNKNOWN
 
 
-def _small_tasks():
-    return [
-        Task(kind="check", engine=engine, knobs={"seed": 0},
-             benchmark="plane1", suite="LimitedPlus", timeout=60.0)
-        for engine in ENGINE_ORDER
-    ] + [
-        Task(kind="check", engine="naySL", knobs={"seed": 0},
-             benchmark="plane2", suite="LimitedPlus", timeout=60.0),
-        Task(kind="gfa", scaling_size=5, example_count=2),
-    ]
+@pytest.fixture
+def two_benchmark_table1(monkeypatch):
+    """A two-benchmark slice of quick Table 1 (6 cells) keeps these fast;
+    the full quick table goes through the identical code path."""
+    import repro.experiments as experiments_module
+
+    monkeypatch.setattr(experiments_module, "QUICK_TABLE1", ["plane1", "plane2"])
 
 
-class TestRunner:
-    def test_serial_rows_are_ordered_and_complete(self):
-        rows = ExperimentRunner(workers=1).run(_small_tasks())
-        assert [row.get("tool") for row in rows[:3]] == list(ENGINE_ORDER)
+def _as_dicts(rows):
+    return [row.as_dict() for row in rows]
+
+
+class TestExperiments:
+    def test_serial_rows_are_ordered_and_complete(self, two_benchmark_table1):
+        rows = _as_dicts(table1(quick=True, workers=1, timeout=60.0))
+        assert [row["benchmark"] for row in rows] == ["plane1"] * 3 + ["plane2"] * 3
+        assert [row["tool"] for row in rows] == list(ENGINE_ORDER) * 2
         assert rows[0]["verdict"] == "unrealizable"
-        assert rows[4]["semilinear_size"] >= 1
+        assert all(row["suite"] == "LimitedPlus" for row in rows)
+        assert fig2(sizes=[5], example_counts=(2,))[0]["semilinear_size"] >= 1
 
     def test_parallel_matches_serial_byte_for_byte(self):
-        serial = ExperimentRunner(workers=1).run(_small_tasks())
-        parallel = ExperimentRunner(workers=4).run(_small_tasks())
+        # Scaling cells carry their problem inline (``sl``), so this covers
+        # the inline-request path on the fabric.
+        serial = fig3(example_counts=(1, 2), sizes=(3, 4), workers=1)
+        parallel = fig3(example_counts=(1, 2), sizes=(3, 4), workers=4)
         assert stable_fingerprint(serial) == stable_fingerprint(parallel)
         assert render_stable(serial) == render_stable(parallel)
-        assert render_stable(serial)  # non-empty
+        assert [point["nonterminals"] for point in serial] == [3, 3, 4, 4]
+        assert [point["examples"] for point in serial] == [1, 2, 1, 2]
 
-    def test_run_does_not_mutate_caller_tasks(self):
-        tasks = [Task(kind="gfa", scaling_size=3, example_count=1)]
-        ExperimentRunner(workers=1, timeout=60.0).run(tasks)
-        assert tasks[0].timeout is None  # reusable with a different runner
+    def test_same_name_benchmarks_resolve_within_their_suite(self, monkeypatch):
+        # ``guard1`` exists in LimitedPlus and LimitedIf with different
+        # witness sets; the quick table's LimitedIf cells must not solve
+        # the LimitedPlus namesake.
+        import repro.experiments as experiments_module
+
+        monkeypatch.setattr(experiments_module, "QUICK_TABLE1", ["guard1"])
+        rows = _as_dicts(table1(quick=True, workers=1, timeout=60.0))
+        witness = get_benchmark("guard1", "LimitedIf").witness_examples
+        assert len(witness) != len(get_benchmark("guard1", "LimitedPlus").witness_examples)
+        assert [row["suite"] for row in rows] == ["LimitedIf"] * 3
+        assert [row["examples"] for row in rows] == [len(witness)] * 3
+
+    def test_inline_scaling_problems_keep_the_grammar(self):
+        # Fig. 3/5 cells send the scaling problem through print/parse; the
+        # round trip regroups productions by nonterminal but keeps every
+        # nonterminal's productions, in order, and the constraint.
+        from repro.suites.scaling import scaling_benchmark
+        from repro.sygus import parse_sygus, print_sygus
+
+        for size in (3, 4, 5):
+            original = scaling_benchmark(size).problem
+            parsed = parse_sygus(print_sygus(original))
+            grammar, round_tripped = original.grammar, parsed.grammar
+            assert round_tripped.start == grammar.start
+            assert round_tripped.nonterminals == grammar.nonterminals
+            for nonterminal in grammar.nonterminals:
+                assert tuple(round_tripped.productions_of(nonterminal)) == tuple(
+                    grammar.productions_of(nonterminal)
+                )
+            assert print_sygus(parsed) == print_sygus(original)
 
     def test_stable_view_strips_timing(self):
         row = {"tool": "naySL", "verdict": "unrealizable", "seconds": 1.23}
         assert "seconds" not in stable_view(row)
         assert stable_view(row)["tool"] == "naySL"
 
-    def test_table1_parallel_equals_serial(self, monkeypatch):
-        # A two-benchmark slice of Table 1 keeps this determinism check fast;
-        # the full quick table goes through the identical code path.
-        import repro.experiments as experiments_module
-
-        monkeypatch.setattr(experiments_module, "QUICK_TABLE1", ["plane1", "plane2"])
-        serial = table1(quick=True, workers=1, timeout=60.0)
-        parallel = table1(quick=True, workers=4, timeout=60.0)
+    def test_table1_parallel_equals_serial(self, two_benchmark_table1):
+        serial = _as_dicts(table1(quick=True, workers=1, timeout=60.0))
+        parallel = _as_dicts(table1(quick=True, workers=4, timeout=60.0))
         assert len(serial) == 2 * len(ENGINE_ORDER)
-        assert stable_fingerprint([r.as_dict() for r in serial]) == stable_fingerprint(
-            [r.as_dict() for r in parallel]
-        )
+        assert stable_fingerprint(serial) == stable_fingerprint(parallel)
 
 
 class TestCache:
@@ -171,10 +195,6 @@ class TestCache:
         # constructed/normalized exactly once per size.
         assert stats.normalize_misses == 2
         assert stats.normalize_hits == 2
-        # The equation system depends on the example set, so every point
-        # builds its own.
-        assert stats.equations_misses == 4
-        assert stats.equations_hits == 0
 
     def test_fingerprint_is_structural_not_nominal(self):
         first = chain_grammar(3, name="a")
@@ -190,11 +210,6 @@ class TestCache:
         assert first is second
         assert cache.stats.normalize_misses == 1
         assert cache.stats.normalize_hits == 1
-        examples = example_set(2)
-        system_one = cache.lia_equations(first, examples)
-        system_two = cache.lia_equations(second, examples)
-        assert system_one is system_two
-        assert cache.stats.equations_hits == 1
 
     def test_disabled_cache_rebuilds(self):
         cache = GfaCache(enabled=False)
@@ -213,23 +228,23 @@ class TestCache:
 
 
 class TestResultsStore:
-    def test_jsonl_round_trip(self, tmp_path):
-        tasks = [
-            Task(kind="check", engine="naySL", knobs={"seed": 0},
-                 benchmark="plane1", suite="LimitedPlus", timeout=60.0),
-            Task(kind="gfa", scaling_size=3, example_count=1),
-        ]
-        runner = ExperimentRunner(workers=1, out=str(tmp_path / "results"))
-        rows = runner.run(tasks, experiment="smoke")
+    def test_jsonl_round_trip(self, tmp_path, two_benchmark_table1):
+        out = str(tmp_path / "results")
+        rows = _as_dicts(table1(quick=True, workers=1, timeout=60.0, out=out))
+        points = fig2(sizes=[3], example_counts=(1,), out=out)
         store = ResultsStore(tmp_path / "results")
-        persisted = store.load("smoke")
+        assert store.path_for("table1").name == "table1.jsonl"
+        persisted = store.load("table1")
         assert len(persisted) == len(rows)
-        assert store.path_for("smoke").name == "smoke.jsonl"
         for row, record in zip(rows, persisted):
             for key, value in row.items():
                 assert record[key] == value
-            assert record["experiment"] == "smoke"
+            assert record["experiment"] == "table1"
             assert record["workers"] == 1
+        (record,) = store.load("fig2")
+        for key, value in points[0].items():
+            assert record[key] == value
+        assert record["stratify"] is True
 
     def test_latest_run_and_diff(self, tmp_path):
         store = ResultsStore(tmp_path)
@@ -264,6 +279,23 @@ class TestCliIntegration:
         assert cli_main(["check", "plane1", "--tool", "naySL", "--examples", "2"]) == 0
         out = capsys.readouterr().out
         assert "verdict:" in out
+
+    def test_gfa_figures_solve_in_this_process(self, monkeypatch, capsys):
+        # Counted here, so a point solved in any worker process is missed.
+        import repro.unreal.lia as lia_module
+        from repro.experiments import main as experiments_main
+
+        calls = []
+        solve = lia_module.solve_lia_gfa
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lia_module, "solve_lia_gfa", counting_solve)
+        assert experiments_main(["fig2", "--workers", "2"]) == 0
+        assert "semilinear_size" in capsys.readouterr().out
+        assert len(calls) == 3 * 4  # quick fig2: 3 sizes x |E| = 1..4
 
     def test_experiments_workers_flag(self, capsys):
         from repro.cli import main as cli_main

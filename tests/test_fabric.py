@@ -17,6 +17,7 @@ import pytest
 
 from repro import perf
 from repro.api.wire import SolveRequest, SolveResponse
+from repro.engine.results import stable_view
 from repro.engine.supervisor import (
     BreakerBoard,
     CircuitBreaker,
@@ -71,69 +72,115 @@ def well_formed(response):
     return response
 
 
-# Module-level so ProcessPoolExecutor can pickle them for pool_map tests.
-def _pool_echo(value):
-    if value == "crash":
-        os._exit(70)
-    return value * 2
-
-
-def _pool_sleep_ignoring_sigterm(seconds):
+def _ignore_sigterm_and_sleep(ready):
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    time.sleep(seconds)
-    return seconds
+    ready.set()
+    time.sleep(120.0)
 
 
-class TestPoolTeardown:
-    def test_shutdown_pool_now_reaps_sigterm_ignoring_workers(self):
-        """Acceptance: SIGKILL escalation — a worker that ignores SIGTERM
-        must still be gone (no zombies, no orphans) after teardown."""
-        from concurrent.futures import ProcessPoolExecutor
+class TestWorkerTeardown:
+    def test_kill_escalates_to_sigkill_for_sigterm_ignoring_process(self):
+        """A worker that ignores SIGTERM must still be reaped (no zombies,
+        no orphans) once the grace period runs out."""
+        from repro.engine.supervisor import _pick_context, _Worker
 
-        from repro.engine.runner import shutdown_pool_now
-
-        pool = ProcessPoolExecutor(max_workers=2)
-        futures = [
-            pool.submit(_pool_sleep_ignoring_sigterm, 120.0) for _ in range(2)
-        ]
-        deadline = time.monotonic() + 10.0
-        while len(pool._processes) < 2 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        pids = [process.pid for process in pool._processes.values()]
-        assert len(pids) == 2
+        ctx = _pick_context()
+        ready = ctx.Event()
+        parent_conn, child_conn = ctx.Pipe()
+        process = ctx.Process(target=_ignore_sigterm_and_sleep, args=(ready,))
+        process.start()
+        child_conn.close()
+        assert ready.wait(10.0)
+        worker = _Worker(process, parent_conn)
         start = time.monotonic()
-        shutdown_pool_now(pool)
-        assert time.monotonic() - start < 30.0
-        assert_dead(pids)
-        del futures  # held only to keep the workers busy during teardown
+        worker.kill(grace_seconds=0.2)
+        assert time.monotonic() - start < 10.0
+        assert process.exitcode == -signal.SIGKILL
+        assert_dead([process.pid])
 
-    def test_pool_map_survives_a_crashing_worker(self):
-        """A crashed worker no longer poisons the batch: innocents complete
-        on the recovery pass, the crasher gets its fallback."""
-        from repro.engine.runner import pool_map
 
-        results = pool_map(
-            _pool_echo,
-            [1, "crash", 2, 3],
-            workers=2,
-            fallback_for=lambda item: "written-off",
+class TestExperimentsOnFabric:
+    def test_crashing_engine_leaves_other_cells_intact(self, monkeypatch):
+        """Crash isolation: on the 2-worker fabric, a cell whose worker dies
+        on every attempt reports ``error`` while every other cell matches a
+        fault-free serial run, in the same row order."""
+        import repro.experiments as experiments_module
+        from repro.experiments import table1
+
+        monkeypatch.setattr(experiments_module, "QUICK_TABLE1", ["plane1", "plane2"])
+        serial = [row.as_dict() for row in table1(quick=True, workers=1, timeout=60.0)]
+        monkeypatch.setenv("REPRO_NAY_FAULTS", "crash@nope")
+        faulty = [row.as_dict() for row in table1(quick=True, workers=2, timeout=60.0)]
+        assert [(row["benchmark"], row["tool"]) for row in faulty] == [
+            (row["benchmark"], row["tool"]) for row in serial
+        ]
+        for clean, row in zip(serial, faulty):
+            if row["tool"] == "nope":
+                assert row["verdict"] == "error"
+                assert row["examples"] == clean["examples"] > 0
+            else:
+                assert stable_view(row) == stable_view(clean)
+
+    def test_consecutive_timeouts_do_not_trip_a_breaker(self, monkeypatch):
+        """nayHorn and nope answer ``unknown`` on these four benchmarks, so a
+        budget every solve overruns turns each of their cells into a soft
+        ``timeout``: four consecutive timeouts for each engine.  The batch fabric
+        must still solve every cell, exactly as the in-process run does."""
+        import repro.experiments as experiments_module
+        from repro.experiments import table1
+
+        monkeypatch.setattr(
+            experiments_module, "QUICK_TABLE1", ["guard1", "guard3", "max2", "guard2"]
         )
-        assert results[0] == 2
-        assert results[1] == "written-off"
-        assert results[2] == 4
-        assert results[3] == 6
+        serial = [row.as_dict() for row in table1(quick=True, workers=1, timeout=1e-6)]
+        assert [row["verdict"] for row in serial if row["tool"] == "nope"] == [
+            "timeout"
+        ] * 4
+        for _ in range(2):  # a second sweep must not inherit breaker state
+            parallel = [
+                row.as_dict() for row in table1(quick=True, workers=2, timeout=1e-6)
+            ]
+            assert [stable_view(row) for row in parallel] == [
+                stable_view(row) for row in serial
+            ]
 
-    def test_pool_map_timeout_writes_off_with_fallback(self):
-        from repro.engine.runner import pool_map
+    def test_stuck_cell_reports_timeout_through_the_hard_guard(self, monkeypatch):
+        """A cell whose worker hangs is written off as ``timeout`` by the
+        supervisor's hard guard (shrunk here to the soft budget)."""
+        import repro.experiments as experiments_module
+        from repro.engine import supervisor as supervisor_module
+        from repro.experiments import table1
 
-        results = pool_map(
-            _pool_sleep_ignoring_sigterm,
-            [60.0],
-            workers=1,
-            guard_for=lambda item: 0.5,
-            fallback_for=lambda item: "timed-out",
-        )
-        assert results == ["timed-out"]
+        monkeypatch.setattr(experiments_module, "QUICK_TABLE1", ["plane1"])
+        monkeypatch.setattr(supervisor_module, "HARD_TIMEOUT_FACTOR", 1.0)
+        monkeypatch.setattr(supervisor_module, "HARD_TIMEOUT_MARGIN", 0.0)
+        monkeypatch.setenv("REPRO_NAY_FAULTS", "hang@nope")
+        rows = [row.as_dict() for row in table1(quick=True, workers=2, timeout=2.0)]
+        verdicts = {row["tool"]: row["verdict"] for row in rows}
+        assert verdicts == {
+            "naySL": "unrealizable",
+            "nayHorn": "unrealizable",
+            "nope": "timeout",
+        }
+        assert len({row["examples"] for row in rows}) == 1
+
+
+class TestSolveBatchSizing:
+    def test_ephemeral_fabric_has_no_more_workers_than_requests(self, monkeypatch):
+        from repro.api import Solver
+        from repro.engine import supervisor as supervisor_module
+
+        sizes = []
+
+        class RecordingSupervisor(Supervisor):
+            def __init__(self, workers=None, **kwargs):
+                sizes.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(supervisor_module, "Supervisor", RecordingSupervisor)
+        responses = Solver().solve_batch(["plane1", "plane2"], workers=8)
+        assert sizes == [2]
+        assert [response.verdict for response in responses] == ["unrealizable"] * 2
 
 
 class TestRetryPolicy:
@@ -152,6 +199,17 @@ class TestRetryPolicy:
 
 
 class TestCircuitBreaker:
+    def test_no_threshold_counts_failures_but_never_trips(self):
+        breaker = CircuitBreaker("x", threshold=None)
+        for _ in range(10):
+            breaker.record_failure()
+        assert breaker.allow()
+        assert breaker.snapshot() == {
+            "state": "closed",
+            "consecutive_failures": 10,
+            "trips": 0,
+        }
+
     def test_trips_after_threshold_and_recovers_half_open(self):
         breaker = CircuitBreaker("x", threshold=2, cooldown_seconds=0.1)
         assert breaker.allow()

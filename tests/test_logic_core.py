@@ -10,14 +10,12 @@ Four angles:
   single-atom deletion;
 * **contexts** — push/pop restores assertion state exactly, assumptions
   do not leak, lemmas survive pops;
-* **caches** — the cross-query cache pickles structurally and
-  ``engine.cache.clear_cache`` resets the logic stores.
+* **caches** — ``engine.cache.clear_cache`` resets the logic stores.
 """
 
 from __future__ import annotations
 
 import itertools
-import pickle
 import random
 
 import pytest
@@ -44,7 +42,6 @@ from repro.logic.reference import (
 )
 from repro.logic.simplex import SimplexTableau, feasible_point, satisfies
 from repro.logic.solver import (
-    LogicQueryCache,
     SolverContext,
     check_sat,
     clear_logic_caches,
@@ -392,16 +389,6 @@ class TestCaches:
         stats = result.statistics
         assert stats["lemma_hits"] >= 1
         assert stats["theory_queries"] <= 3
-
-    def test_query_cache_pickles_structurally(self):
-        clear_logic_caches()
-        formula = conjunction([atom_ge(x, 2), atom_le(x, 2)])
-        check_sat(formula)
-        from repro.logic import solver as solver_module
-
-        restored = pickle.loads(pickle.dumps(solver_module._QUERY_CACHE))
-        assert isinstance(restored, LogicQueryCache)
-        assert restored.stats()["entries"] == solver_module._QUERY_CACHE.stats()["entries"]
 
     def test_clear_cache_resets_logic_stores(self):
         check_sat(conjunction([atom_ge(x, 1), atom_le(x, 0)]))

@@ -100,8 +100,8 @@ class TestCliaProcedure:
 
     def test_paper_grammar_two_examples(self, clia_example_problem):
         """§2 claims E = {1 -> 4, 2 -> 6} proves unrealizability of G2, but a
-        witness term does exist (see EXPERIMENTS.md), so the exact checker must
-        answer REALIZABLE.  The witness is constructed explicitly here:
+        witness term does exist, so the exact checker must answer
+        REALIZABLE.  The witness is constructed explicitly here:
         ite(0 < ite(x < 2, 0, x+x+x), x+x+x, x+x+x+x)."""
         from repro.grammar import alphabet as alph
         from repro.grammar.terms import Term

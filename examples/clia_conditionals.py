@@ -21,6 +21,7 @@ from repro.grammar.rtg import Nonterminal, Production, RegularTreeGrammar
 from repro.suites.base import scaled_variable_spec
 from repro.synth.enumerator import EnumerativeSynthesizer
 from repro.unreal.clia import check_clia_examples, solve_clia_gfa
+from repro.utils.deadline import deadline
 
 
 def build_grammar() -> RegularTreeGrammar:
@@ -77,7 +78,8 @@ def main() -> None:
             print(f"  witness term on E: {witness.solution.to_sexpr()}")
 
     # The full CEGIS loop decides the problem by growing the example set.
-    outcome = NaySL(seed=1, timeout_seconds=120).solve(problem)
+    with deadline(120):
+        outcome = NaySL(seed=1).solve(problem)
     print(
         f"CEGIS verdict: {outcome.verdict.value} with {outcome.num_examples} examples"
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro import ExampleSet, NayConfig, NaySolver, SyGuSProblem
 from repro.suites.base import bounded_ite_grammar, max_spec
+from repro.utils.deadline import deadline
 
 #: Seed examples for the CEGIS loop.  Alg. 2 would discover an equivalent set
 #: with random examples; seeding keeps the demo fast and deterministic (the
@@ -42,12 +43,9 @@ def minimal_ite_count(spec_variables, max_budget: int = 3) -> int:
         # The helper nonterminals of the bounded grammar make the optimal max
         # term a little larger than the default enumeration budget, so the
         # synthesizer's term-size budget is raised explicitly.
-        solver = NaySolver(
-            NayConfig(
-                mode="sl", seed=0, timeout_seconds=120, synthesizer_max_size=14
-            )
-        )
-        outcome = solver.solve(problem, initial_examples=SEED_EXAMPLES)
+        solver = NaySolver(NayConfig(mode="sl", seed=0, synthesizer_max_size=14))
+        with deadline(120):
+            outcome = solver.solve(problem, initial_examples=SEED_EXAMPLES)
         print(
             f"budget {budget}: {outcome.verdict.value} "
             f"({outcome.num_examples} examples, {outcome.elapsed_seconds:.2f}s)"

@@ -11,10 +11,13 @@ code path:
   single engine or the portfolio racer, return a
   :class:`~repro.api.wire.SolveResponse`;
 * :func:`run_engine` — the shared engine-execution core (engine creation,
-  wall-clock measurement, :class:`~repro.utils.errors.SolverLimitError`
-  mapping, and the two-sided timeout policy of :func:`apply_timeout_policy`),
-  so the CLI, the batch/serve surface, the experiment harness and the
-  pytest benchmarks all share one engine/example/timeout plumbing.
+  the one place a wall-clock budget is installed, as a
+  :func:`~repro.utils.deadline.deadline` scope that reaches the innermost
+  solver loops, wall-clock measurement, the ``details["reason"]`` of every
+  non-definitive outcome, and the two-sided timeout policy of
+  :func:`apply_timeout_policy`), so the CLI, the batch/serve surface, the
+  experiment harness and the pytest benchmarks all share one
+  engine/example/timeout plumbing.
 
 Requests and responses are plain wire data, so :meth:`Solver.solve_batch`
 can fan requests out to the supervised solve fabric
@@ -55,7 +58,8 @@ from repro.suites import get_benchmark
 from repro.suites.base import Benchmark
 from repro.sygus import parse_sygus, parse_sygus_file, print_sygus
 from repro.sygus.problem import SyGuSProblem
-from repro.unreal.result import Verdict
+from repro.unreal.result import ABSTRACTION, DEADLINE, SOLVER_LIMIT, Verdict
+from repro.utils.deadline import DeadlineExceeded, deadline
 from repro.utils.errors import ReproError, SolverLimitError
 
 #: The reserved engine name that races every (or a chosen subset of the)
@@ -151,8 +155,8 @@ def apply_timeout_policy(
     """Late two-sided verdicts survive; only undetermined outcomes time out.
 
     A run that finishes past its deadline with a definitive verdict
-    (``UNREALIZABLE`` *or* ``REALIZABLE``) keeps it; ``UNKNOWN`` and
-    resource-limit outcomes past the deadline become ``TIMEOUT``.
+    (``UNREALIZABLE`` *or* ``REALIZABLE``) keeps it; an ``UNKNOWN`` past
+    the deadline becomes ``TIMEOUT``: the clock ran out.
     """
     if timeout is not None and elapsed > timeout:
         if verdict not in (Verdict.UNREALIZABLE, Verdict.REALIZABLE):
@@ -177,10 +181,14 @@ def run_engine(
     This is the single place engines are instantiated and timed for solving:
     the facade (and through it the experiments) and the portfolio racer
     both call it.  A ``check`` with no examples falls back to the full
-    CEGIS ``solve`` (nothing to check against).  The two-sided timeout
-    policy of :func:`apply_timeout_policy` is applied to the measured wall
-    time: late definitive verdicts survive, undetermined late outcomes
-    become ``timeout``.
+    CEGIS ``solve`` (nothing to check against).  ``timeout`` is installed
+    as a :func:`~repro.utils.deadline.deadline` scope around the engine
+    (nested inside any enclosing one), so the solver loops stop when it
+    passes and the run reports ``timeout``.  The two-sided timeout policy
+    of :func:`apply_timeout_policy` is applied to the measured wall time:
+    late definitive verdicts survive, undetermined late outcomes become
+    ``timeout``.  Every non-definitive response says why in
+    ``details["reason"]`` (the reasons of :mod:`repro.unreal.result`).
 
     ``tags`` is the request's free-form tag mapping; its consumers here are
     the fault-injection layer (``tags["faults"]`` /
@@ -203,7 +211,6 @@ def run_engine(
     from repro.testing.faults import faults_armed, inject_faults
 
     knobs = dict(knobs or {})
-    knobs.setdefault("timeout_seconds", timeout)
     if seed is not None:
         knobs.setdefault("seed", seed)
     if max_iterations is not None:
@@ -243,37 +250,47 @@ def run_engine(
     counters_before = runtime_counters()
     start = time.monotonic()
     try:
-        # The fault-injection point: inside the timed region (a ``slow``
-        # fault must trip the soft-timeout policy exactly like a slow
-        # engine), before the engine runs (a ``crash`` kills the leg, not
-        # half a solve).  Raising kinds propagate to ``execute_request``'s
-        # error handling.
-        if faults_armed(tags):
-            fault_events = inject_faults(engine_name, tags)
-        if kind == "solve":
-            result = engine.solve(problem)
-            verdict = result.verdict
-            num_examples = result.num_examples
-            iterations = result.iterations
-            witness = result.examples
-            details = result.details
-            certificate = result.certificate
-            if result.solution is not None:
-                solution = result.solution.to_sexpr()
-        else:
-            result = engine.check(problem, examples)
-            verdict = result.verdict
-            num_examples = len(examples)
-            witness = examples
-            details = result.details
-            certificate = result.certificate
-    except SolverLimitError as error:
+        with deadline(timeout):
+            # The fault-injection point: inside the timed region (a ``slow``
+            # fault must trip the timeout policy exactly like a slow engine),
+            # before the engine runs (a ``crash`` kills the leg, not half a
+            # solve).  Raising kinds propagate to ``execute_request``'s
+            # error handling.
+            if faults_armed(tags):
+                fault_events = inject_faults(engine_name, tags)
+            if kind == "solve":
+                result = engine.solve(problem)
+                verdict = result.verdict
+                num_examples = result.num_examples
+                iterations = result.iterations
+                witness = result.examples
+                details = result.details
+                certificate = result.certificate
+                if result.solution is not None:
+                    solution = result.solution.to_sexpr()
+            else:
+                result = engine.check(problem, examples)
+                verdict = result.verdict
+                num_examples = len(examples)
+                witness = examples
+                details = result.details
+                certificate = result.certificate
+    except DeadlineExceeded:
         verdict = Verdict.TIMEOUT
         num_examples = len(examples)
         witness = examples
-        details = {"limit": str(error)}
+    except SolverLimitError as error:
+        verdict = Verdict.UNKNOWN
+        num_examples = len(examples)
+        witness = examples
+        details = {"limit": str(error), "reason": SOLVER_LIMIT}
     elapsed = time.monotonic() - start
     verdict = apply_timeout_policy(verdict, elapsed, timeout)
+    if verdict == Verdict.TIMEOUT:
+        details = {**details, "reason": DEADLINE}
+    elif verdict == Verdict.UNKNOWN and "reason" not in details:
+        # A check whose approximate abstraction could not refute the examples.
+        details = {**details, "reason": ABSTRACTION}
     # What the logic core did for this run: the counters are process-wide
     # and monotone, so the before/after delta is exactly this engine's work
     # (each batch worker / portfolio leg runs in its own process).  The one
@@ -374,12 +391,11 @@ def engine_store_key(
     Canonicalizes everything that determines the verdict: the engine, the
     run kind, the problem (printed back to SyGuS-IF — structural, so two
     routes to the same problem share entries), the resolved example set,
-    the result-affecting knobs, and the semantic tags.  ``timeout_seconds``
-    is deliberately *excluded*: the engines are deterministic, so a
-    definitive verdict is budget-independent (a run that blew its budget is
-    non-definitive and never stored), and the staged/portfolio legs call
-    with shrinking remaining-budget timeouts that must all share one entry.
-    Non-semantic tags are excluded by :func:`request_fingerprint` itself.
+    the result-affecting knobs, and the semantic tags.  The budget is not
+    part of it: it is no engine knob, and the engines are deterministic, so
+    a definitive verdict is budget-independent (a run that blew its budget
+    is non-definitive and never stored).  Non-semantic tags are excluded by
+    :func:`request_fingerprint` itself.
     """
     from repro.engine.results import request_fingerprint
 
@@ -389,11 +405,7 @@ def engine_store_key(
         "problem": problem.name,
         "sl": print_sygus(problem),
         "examples": list(examples.as_dicts()),
-        "knobs": {
-            key: value
-            for key, value in sorted(knobs.items())
-            if key != "timeout_seconds"
-        },
+        "knobs": dict(sorted(knobs.items())),
         "tags": dict(tags or {}),
     }
     return request_fingerprint(payload)
@@ -449,6 +461,7 @@ def timeout_response(request: SolveRequest) -> SolveResponse:
         suite=request.suite,
         elapsed_seconds=float(request.timeout_seconds or 0.0),
         tags=dict(request.tags),
+        details={"reason": DEADLINE},
     )
 
 

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional
 
 from repro.api.wire import SolveRequest, SolveResponse, error_response
 from repro.engine.registry import engine_names
+from repro.utils.deadline import deadline, expired, remaining
 
 #: Preference order for the reported outcome when no engine is definitive.
 _LOSER_ORDER = {"unknown": 0, "timeout": 1, "error": 2}
@@ -150,18 +151,13 @@ def solve_portfolio(request: SolveRequest) -> SolveResponse:
         return response
 
     guard = hard_guard(request.timeout_seconds)
-    deadline = None if guard is None else start + guard
-    soft_deadline = (
-        None if request.timeout_seconds is None else start + request.timeout_seconds
-    )
+    guard_expiry = None if guard is None else start + guard
 
     def leg(name: str) -> SolveRequest:
-        return replace(request, engine=name, engines=None)
-
-    def soft_remaining() -> Optional[float]:
-        if soft_deadline is None:
-            return None
-        return max(0.05, soft_deadline - time.monotonic())
+        # A leg carries what is left of the race's budget as its own.
+        return replace(
+            request, engine=name, engines=None, timeout_seconds=remaining()
+        )
 
     fabric = get_fabric()
     ephemeral = fabric is None
@@ -188,58 +184,59 @@ def solve_portfolio(request: SolveRequest) -> SolveResponse:
             winner = response
 
     try:
-        while (pending or jobs) and winner is None:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                break  # hard wall-clock guard expired with legs still running
-            # Start every leg an idle worker can take right now.
-            while pending:
-                job = fabric.try_submit(leg(pending[0]), soft_timeout=soft_remaining())
-                if job is None:
-                    break
-                jobs[pending.pop(0)] = job
-            if not jobs:
-                # Shared fabric fully busy with other requests: block for
-                # one worker so the race always makes progress.
-                name = pending.pop(0)
-                try:
-                    jobs[name] = fabric.submit(
-                        leg(name), soft_timeout=soft_remaining(), timeout=remaining
-                    )
-                except FabricSaturatedError:
-                    pending.insert(0, name)
-                    break
-                except WorkerCrashError as error:
-                    crashed[name] = str(error)
-                    breakers.for_engine(name).record_failure()
-                    settle_crash = error_response(
-                        f"race leg crashed: {error}", request, engine=name
-                    )
-                    finished[name] = settle_crash
-                    continue
-            slice_seconds = 0.25
-            if remaining is not None:
-                slice_seconds = min(slice_seconds, max(0.0, remaining))
-            ready = fabric.poll_jobs(list(jobs.values()), timeout=slice_seconds)
-            by_job = {job: name for name, job in jobs.items()}
-            for job in sorted(ready, key=lambda item: admitted.index(by_job[item])):
-                name = by_job[job]
-                try:
-                    response = fabric.harvest(job, timeout=1.0)
-                except WorkerCrashError as error:
+        with deadline(request.timeout_seconds):
+            while (pending or jobs) and winner is None:
+                guard_left = (
+                    None if guard_expiry is None else guard_expiry - time.monotonic()
+                )
+                if guard_left is not None and guard_left <= 0:
+                    break  # hard wall-clock guard expired with legs still running
+                # Start every leg an idle worker can take right now.
+                while pending:
+                    job = fabric.try_submit(leg(pending[0]))
+                    if job is None:
+                        break
+                    jobs[pending.pop(0)] = job
+                if not jobs:
+                    # Shared fabric fully busy with other requests: block for
+                    # one worker so the race always makes progress.
+                    name = pending.pop(0)
+                    try:
+                        jobs[name] = fabric.submit(leg(name), timeout=guard_left)
+                    except FabricSaturatedError:
+                        pending.insert(0, name)
+                        break
+                    except WorkerCrashError as error:
+                        crashed[name] = str(error)
+                        breakers.for_engine(name).record_failure()
+                        settle_crash = error_response(
+                            f"race leg crashed: {error}", request, engine=name
+                        )
+                        finished[name] = settle_crash
+                        continue
+                slice_seconds = 0.25
+                if guard_left is not None:
+                    slice_seconds = min(slice_seconds, max(0.0, guard_left))
+                ready = fabric.poll_jobs(list(jobs.values()), timeout=slice_seconds)
+                by_job = {job: name for name, job in jobs.items()}
+                for job in sorted(ready, key=lambda item: admitted.index(by_job[item])):
+                    name = by_job[job]
+                    try:
+                        response = fabric.harvest(job, timeout=1.0)
+                    except WorkerCrashError as error:
+                        jobs.pop(name)
+                        crashed[name] = str(error)
+                        breakers.for_engine(name).record_failure()
+                        finished[name] = error_response(
+                            f"race leg crashed: {error}", request, engine=name
+                        )
+                        continue
+                    except Exception:  # noqa: BLE001 — a flaky poll must not end it
+                        continue
                     jobs.pop(name)
-                    crashed[name] = str(error)
-                    breakers.for_engine(name).record_failure()
-                    finished[name] = error_response(
-                        f"race leg crashed: {error}", request, engine=name
-                    )
-                    continue
-                except Exception:  # noqa: BLE001 — a flaky poll must not end the race
-                    continue
-                jobs.pop(name)
-                settle(name, response)
-                if winner is not None:
-                    break
+                    settle(name, response)
+                    if winner is not None:
+                        break
     finally:
         for name, job in jobs.items():
             # Cancel the losers (or, at the deadline, the stragglers): kill
@@ -303,10 +300,12 @@ def solve_staged(request: SolveRequest) -> SolveResponse:
     fan-out would cost more than it saves).  The problem and example set
     are resolved **once** and shared by every stage — a staged request over
     inline SyGuS text or a ``.sl`` path parses it a single time, not once
-    per leg.  Every stage receives the wall-clock budget *remaining* from
-    the request's ``timeout_seconds``; when the budget runs dry before a
-    definitive verdict the best non-definitive outcome seen so far is
-    reported, exactly like the racing portfolio's loser handling.
+    per leg.  The whole ladder runs inside one
+    :func:`~repro.utils.deadline.deadline` scope of the request's
+    ``timeout_seconds``, so each stage gets what is left of it; when the
+    budget runs dry before a definitive verdict the best non-definitive
+    outcome seen so far is reported, exactly like the racing portfolio's
+    loser handling.
     """
     from repro.api.facade import (
         resolve_kind,
@@ -340,59 +339,57 @@ def solve_staged(request: SolveRequest) -> SolveResponse:
     solver_stats: Dict[str, int] = {}
     winner: Optional[SolveResponse] = None
     exact_calls = 0
-    for name in engines:
-        remaining = None
-        if request.timeout_seconds is not None:
-            remaining = request.timeout_seconds - (time.monotonic() - start)
-            if remaining <= 0:
+    with deadline(request.timeout_seconds):
+        for name in engines:
+            if expired():
                 break
-        # The ladder degrades around tripped engines: skip while a breaker
-        # is open, escalate to the next stage.  Checked lazily, per stage,
-        # so a half-open probe is only consumed by a stage that actually
-        # runs.
-        if not breakers.allow(name):
-            skipped.append(name)
-            continue
-        try:
-            response = run_engine(
-                name,
-                kind,
-                problem,
-                examples,
-                timeout=remaining,
-                seed=request.seed,
-                max_iterations=request.max_iterations,
+            # The ladder degrades around tripped engines: skip while a breaker
+            # is open, escalate to the next stage.  Checked lazily, per stage,
+            # so a half-open probe is only consumed by a stage that actually
+            # runs.
+            if not breakers.allow(name):
+                skipped.append(name)
+                continue
+            try:
+                response = run_engine(
+                    name,
+                    kind,
+                    problem,
+                    examples,
+                    timeout=remaining(),
+                    seed=request.seed,
+                    max_iterations=request.max_iterations,
+                )
+            except ReproError as error:  # e.g. an unknown engine in the pool
+                response = error_response(str(error), request, engine=name)
+            except Exception as error:  # noqa: BLE001 — a bad leg must not end it
+                response = error_response(
+                    f"internal error: {type(error).__name__}: {error}",
+                    request,
+                    engine=name,
+                )
+            finished[name] = response
+            # In-process stages cannot crash the process, so the staged ladder
+            # never *trips* a breaker — it heals the board instead: a success
+            # closes a half-open probe, anything else hands the probe back.
+            breaker = breakers.for_engine(name)
+            if response.verdict in ("unrealizable", "realizable", "unknown"):
+                breaker.record_success()
+            else:
+                breaker.release_probe()
+            exact_calls += 1 if name in EXACT_ENGINES else 0
+            for key, value in response.solver_stats.items():
+                solver_stats[key] = solver_stats.get(key, 0) + value
+            stages.append(
+                {
+                    "engine": name,
+                    "verdict": response.verdict,
+                    "elapsed_seconds": response.elapsed_seconds,
+                }
             )
-        except ReproError as error:  # e.g. an unknown engine in the pool
-            response = error_response(str(error), request, engine=name)
-        except Exception as error:  # noqa: BLE001 — a bad leg must not kill the ladder
-            response = error_response(
-                f"internal error: {type(error).__name__}: {error}",
-                request,
-                engine=name,
-            )
-        finished[name] = response
-        # In-process stages cannot crash the process, so the staged ladder
-        # never *trips* a breaker — it heals the board instead: a success
-        # closes a half-open probe, anything else hands the probe back.
-        breaker = breakers.for_engine(name)
-        if response.verdict in ("unrealizable", "realizable", "unknown"):
-            breaker.record_success()
-        else:
-            breaker.release_probe()
-        exact_calls += 1 if name in EXACT_ENGINES else 0
-        for key, value in response.solver_stats.items():
-            solver_stats[key] = solver_stats.get(key, 0) + value
-        stages.append(
-            {
-                "engine": name,
-                "verdict": response.verdict,
-                "elapsed_seconds": response.elapsed_seconds,
-            }
-        )
-        if response.is_definitive:
-            winner = response
-            break
+            if response.is_definitive:
+                winner = response
+                break
 
     total_seconds = time.monotonic() - start
     if not finished and skipped:

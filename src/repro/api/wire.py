@@ -121,10 +121,12 @@ class SolveRequest:
     registry name or ``"portfolio"`` (race ``engines`` — default all
     registered — and return the first definitive verdict).
 
-    Budgets: ``timeout_seconds`` bounds each engine run, ``max_iterations``
-    caps the CEGIS loop, and ``max_examples`` caps the example set a check
-    runs on.  ``example_count`` instead *resizes* the example set to an
-    exact size via :meth:`~repro.semantics.examples.ExampleSet.resized`.
+    Budgets: ``timeout_seconds`` bounds the request's wall time (a
+    :mod:`repro.utils.deadline` scope its solver loops check),
+    ``max_iterations`` caps the CEGIS loop, and ``max_examples`` caps the
+    example set a check runs on.  ``example_count`` instead *resizes* the
+    example set to an exact size via
+    :meth:`~repro.semantics.examples.ExampleSet.resized`.
     """
 
     schema_version: int = SCHEMA_VERSION

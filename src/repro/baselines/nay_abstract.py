@@ -40,7 +40,6 @@ class NayAbstractDomain(EngineConfigMixin):
     """The shared engine shape: one abstract domain, CEGIS via injection."""
 
     seed: Optional[int] = None
-    timeout_seconds: Optional[float] = None
     max_iterations: int = 40
     #: Registry name of the abstract domain the checker instantiates
     #: (fresh per check — domains may carry per-check exactness state).
@@ -70,7 +69,6 @@ class NayAbstractDomain(EngineConfigMixin):
             NayConfig(
                 mode="abstract",
                 seed=self.seed,
-                timeout_seconds=self.timeout_seconds,
                 max_iterations=self.max_iterations,
                 checker=self.check,
             )

@@ -27,7 +27,6 @@ class NayHorn(EngineConfigMixin):
     """
 
     seed: Optional[int] = None
-    timeout_seconds: Optional[float] = None
     max_iterations: int = 40
     prune: str = "off"
 
@@ -40,7 +39,6 @@ class NayHorn(EngineConfigMixin):
             NayConfig(
                 mode="horn",
                 seed=self.seed,
-                timeout_seconds=self.timeout_seconds,
                 max_iterations=self.max_iterations,
                 prune=self.prune,
             )

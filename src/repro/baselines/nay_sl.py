@@ -19,7 +19,6 @@ class NaySL(EngineConfigMixin):
     """The NaySL tool configuration (Alg. 2 with the exact checker)."""
 
     seed: Optional[int] = None
-    timeout_seconds: Optional[float] = None
     stratify: bool = True
     max_iterations: int = 40
     prune: str = "off"
@@ -29,7 +28,6 @@ class NaySL(EngineConfigMixin):
             NayConfig(
                 mode="sl",
                 seed=self.seed,
-                timeout_seconds=self.timeout_seconds,
                 stratify=self.stratify,
                 max_iterations=self.max_iterations,
                 prune=self.prune,

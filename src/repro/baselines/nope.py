@@ -26,7 +26,7 @@ from repro.engine.base import EngineConfigMixin
 from repro.engine.registry import register_engine
 from repro.grammar.rtg import Nonterminal, RegularTreeGrammar
 from repro.grammar.transforms import normalize_for_gfa
-from repro.horn.clauses import HornSystem, encode_gfa_as_horn
+from repro.horn.clauses import encode_gfa_as_horn
 from repro.horn.solver import HornEngine
 from repro.semantics.examples import ExampleSet
 from repro.sygus.problem import SyGuSProblem
@@ -88,7 +88,6 @@ class Nope(EngineConfigMixin):
     """The NOPE baseline: program-reachability reduction + Horn solving."""
 
     seed: Optional[int] = None
-    timeout_seconds: Optional[float] = None
     max_iterations: int = 40
     prune: str = "off"
 
@@ -116,7 +115,6 @@ class Nope(EngineConfigMixin):
             NayConfig(
                 mode="horn",
                 seed=self.seed,
-                timeout_seconds=self.timeout_seconds,
                 max_iterations=self.max_iterations,
                 checker=self.check,
             )
@@ -128,6 +126,3 @@ class Nope(EngineConfigMixin):
         return build_reachability_program(
             problem.grammar, examples, problem.spec.description or "spec"
         )
-
-    def horn_system(self, problem: SyGuSProblem, examples: ExampleSet) -> HornSystem:
-        return encode_gfa_as_horn(problem.grammar, examples, problem.spec)

@@ -30,7 +30,7 @@ from repro.domains.boolvectors import BoolVectorSet
 from repro.domains.registry import register_domain
 from repro.semantics.examples import ExampleSet
 from repro.sygus.spec import Specification
-from repro.unreal.result import CheckResult, Verdict
+from repro.unreal.result import EXAMPLE_BUDGET, CheckResult, Verdict
 from repro.utils.columns import PYTHON_OPS, ColumnOverflowError, active_ops
 from repro.utils.errors import SemanticsError
 from repro.utils.vectors import BoolVector, IntVector
@@ -166,6 +166,8 @@ class ExamplePowersetDomain(ExampleVectorDomain):
                     guard.values, then_rows, else_rows
                 )
             combined.update(spliced)
+            if len(combined) > self.cap:
+                return self._top(dimension)  # past the cap: no need to go on
         return self._capped(
             frozenset(IntVector._wrap(row) for row in combined), dimension
         )
@@ -204,7 +206,7 @@ class ExamplePowersetDomain(ExampleVectorDomain):
                 verdict=Verdict.UNKNOWN,
                 examples=examples,
                 details={
-                    "reason": "example set exceeds the powerset budget",
+                    "reason": EXAMPLE_BUDGET,  # more examples than max_examples
                     "max_examples": self.max_examples,
                     "domain_stats": self._domain_stats(),
                 },

@@ -18,10 +18,12 @@ pool start re-pays the import and cache warm-up an engine needs.
 * **automatic replacement** — a crashed, corrupted or cancelled worker is
   killed (SIGTERM, then SIGKILL after a grace period) and replaced
   immediately, so the pool never shrinks;
-* **deadline propagation** — every job carries its remaining soft budget
-  into the worker, so engine-side timeouts fire *inside* the leg
-  (``SolverLimitError`` → a clean ``timeout`` verdict) instead of only at
-  the parent's hard guard;
+* **deadline propagation** — a job's budget is its request's own
+  ``timeout_seconds``: the worker runs the request through
+  :func:`~repro.api.facade.run_engine`, which installs it as a
+  :func:`~repro.utils.deadline.deadline` scope, so the leg stops *inside*
+  its solver loops with a clean ``timeout`` verdict instead of only at the
+  parent's hard guard (a retry carries what is left of the hard guard);
 * **retry with jittered exponential backoff** — only for *transient*
   failures (worker crash, corrupt reply); deterministic ``error`` verdicts
   and timeouts are never retried;
@@ -68,7 +70,7 @@ READY_TIMEOUT_SECONDS = 60.0
 #: SIGTERM → SIGKILL escalation grace when retiring a worker.
 TERM_GRACE_SECONDS = 1.0
 
-#: Hard wall-clock guard: how long past a request's soft timeout the parent
+#: Hard wall-clock guard: how long past a request's timeout the parent
 #: waits for a worker before writing the request off as ``timeout``.
 HARD_TIMEOUT_FACTOR = 3.0
 HARD_TIMEOUT_MARGIN = 30.0
@@ -87,7 +89,7 @@ def default_worker_count() -> int:
 
 
 def hard_guard(timeout: Optional[float]) -> Optional[float]:
-    """The hard wall-clock budget for a soft timeout (None = unbounded).
+    """The hard wall-clock budget for a request timeout (None = unbounded).
 
     One policy for every supervised surface: ``Supervisor.solve`` (and so
     ``solve_batch`` and the experiments), the portfolio racer and the serve
@@ -337,21 +339,13 @@ def _worker_main(conn: Connection, warm: bool) -> None:
             except (BrokenPipeError, OSError):
                 break
             continue
-        _, job_id, payload, soft_timeout = message
+        _, job_id, payload = message
         engine_name = str(payload.get("engine", ""))
         tags = payload.get("tags") or {}
         try:
             from repro.api.facade import execute_request
 
-            request = SolveRequest.from_json(payload)
-            if soft_timeout is not None:
-                budget = (
-                    soft_timeout
-                    if request.timeout_seconds is None
-                    else min(request.timeout_seconds, soft_timeout)
-                )
-                request = replace(request, timeout_seconds=budget)
-            reply = execute_request(request).to_json()
+            reply = execute_request(SolveRequest.from_json(payload)).to_json()
         except Exception as error:  # noqa: BLE001 — execute_request rarely raises
             reply = error_response(
                 f"worker failure: {type(error).__name__}: {error}",
@@ -477,7 +471,6 @@ class Supervisor:
         warm: bool = True,
         retry: Optional[RetryPolicy] = None,
         breakers: Optional[BreakerBoard] = None,
-        default_timeout: Optional[float] = None,
         name: str = "fabric",
     ):
         self.size = workers if workers is not None else default_worker_count()
@@ -485,7 +478,6 @@ class Supervisor:
         self.warm = warm
         self.retry = retry if retry is not None else RetryPolicy()
         self.breakers = breakers if breakers is not None else get_breakers()
-        self.default_timeout = default_timeout
         self.name = name
         self.stats = _Stats()
         self._lock = threading.Lock()
@@ -596,32 +588,28 @@ class Supervisor:
                 return worker
             self._discard(worker)  # dead on arrival: replace and try again
 
-    def try_submit(
-        self, request: SolveRequest, *, soft_timeout: Optional[float] = None
-    ) -> Optional[Job]:
+    def try_submit(self, request: SolveRequest) -> Optional[Job]:
         """Non-blocking submit: ``None`` when every worker is busy."""
         try:
-            return self.submit(request, soft_timeout=soft_timeout, timeout=0.0)
+            return self.submit(request, timeout=0.0)
         except FabricSaturatedError:
             return None
 
     def submit(
-        self,
-        request: SolveRequest,
-        *,
-        soft_timeout: Optional[float] = None,
-        timeout: Optional[float] = None,
+        self, request: SolveRequest, *, timeout: Optional[float] = None
     ) -> Job:
-        """Bind the request to a worker and start it (blocking checkout)."""
+        """Bind the request to a worker and start it (blocking checkout).
+
+        ``timeout`` bounds the wait for an idle worker; the job's own budget
+        is ``request.timeout_seconds``.
+        """
         worker = self._checkout(timeout)
         with self._lock:
             self._job_counter += 1
             job_id = self._job_counter
         job = Job(job_id, worker, request)
-        if soft_timeout is None:
-            soft_timeout = request.timeout_seconds
         try:
-            worker.conn.send(("job", job.id, request.to_json(), soft_timeout))
+            worker.conn.send(("job", job.id, request.to_json()))
         except (BrokenPipeError, OSError) as error:
             job.done = True
             self._discard(worker)
@@ -716,14 +704,7 @@ class Supervisor:
         from repro.api.facade import timeout_response
 
         engine = request.engine
-        soft = (
-            request.timeout_seconds
-            if request.timeout_seconds is not None
-            else self.default_timeout
-        )
-        if soft is not None and request.timeout_seconds is None:
-            request = replace(request, timeout_seconds=soft)
-        guard = hard_guard(soft)
+        guard = hard_guard(request.timeout_seconds)
         deadline = None if guard is None else time.monotonic() + guard
         breaker = self.breakers.for_engine(engine)
         if not breaker.allow():
@@ -748,13 +729,12 @@ class Supervisor:
             if remaining is not None and remaining <= 0:
                 response = timeout_response(request)
                 break
-            soft_remaining = soft
-            if deadline is not None and soft is not None:
-                soft_remaining = max(0.05, min(soft, deadline - time.monotonic()))
+            attempt = request
+            if remaining is not None and remaining < request.timeout_seconds:
+                # A retry late in the hard guard gets only what is left of it.
+                attempt = replace(request, timeout_seconds=remaining)
             try:
-                job = self.submit(
-                    request, soft_timeout=soft_remaining, timeout=remaining
-                )
+                job = self.submit(attempt, timeout=remaining)
             except FabricSaturatedError as error:
                 response = error_response(
                     f"solve fabric saturated: {error}", request, engine=engine

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from repro.gfa.equations import Key, invert_dependencies
+from repro.utils.deadline import check as check_deadline
 from repro.utils.errors import SolverLimitError
 
 __all__ = [
@@ -136,6 +137,7 @@ def solve_worklist(
     evaluations = 0
 
     while pending:
+        check_deadline()
         key = pending.popleft()
         queued.discard(key)
         visits[key] += 1
@@ -186,6 +188,7 @@ def solve_dense(
     for iteration in range(1, max_iterations + 1):
         updates = []
         for key in keys:
+            check_deadline()
             value = step(key, current, iteration)
             evaluations += 1
             old = current[key]

@@ -21,6 +21,7 @@ from repro.sygus.problem import SyGuSProblem
 from repro.unreal.approximate import check_examples_abstract
 from repro.unreal.certificates import build_chc_certificate
 from repro.unreal.result import CheckResult
+from repro.utils.deadline import check as check_deadline
 
 
 @dataclass
@@ -42,6 +43,7 @@ class HornEngine:
         start = time.monotonic()
         result: Optional[CheckResult] = None
         for _ in range(max(1, self.overhead_factor)):
+            check_deadline()
             result = check_examples_abstract(problem, examples, prune=self.prune)
         assert result is not None
         if result.certificate is not None:

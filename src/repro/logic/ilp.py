@@ -28,6 +28,8 @@ keeps its atom).  The result is *minimal* w.r.t. single-atom deletion.
 
 A node budget guards against pathological inputs; exceeding it raises
 :class:`~repro.utils.errors.SolverLimitError` rather than looping forever.
+Every node also checks the ambient wall-clock deadline
+(:mod:`repro.utils.deadline`), so a budgeted run stops inside a search.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.logic.diophantine import tighten_inequality
 from repro.logic.formulas import Atom, Comparison
 from repro.logic.simplex import SimplexTableau
 from repro.logic.terms import LinearExpression
+from repro.utils.deadline import check as check_deadline
 from repro.utils.errors import SolverError, SolverLimitError
 
 #: Default branch-and-bound node budget.  The queries produced by the
@@ -537,6 +540,7 @@ def _branch_and_bound(
             return None
     stack = [root]
     while stack:
+        check_deadline()
         if stats["nodes"] > node_limit:
             raise SolverLimitError(
                 f"branch-and-bound exceeded the node budget ({node_limit})"

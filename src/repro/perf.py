@@ -1383,7 +1383,7 @@ def _run_chaos(repetitions: int, quick: bool) -> Report:
         # produce at the hard guard.
         since = time.monotonic()
         hang_request = _chaos_request({"faults": "hang@*"}, timeout=5.0)
-        job = fabric.submit(hang_request, soft_timeout=5.0)
+        job = fabric.submit(hang_request)
         try:
             response = fabric.harvest(job, timeout=1.5)  # should not return
         except FabricTimeoutError:

@@ -29,12 +29,14 @@ restructured around the tree-automaton grammar core:
   ``(grammar fingerprint, examples)`` and whole outcomes per
   ``(bank key, size budget, term budget)``, so such repeat rounds cost a
   dictionary lookup instead of a full re-enumeration.  Outcomes ended by
-  the wall-clock stopwatch are never cached (they are not deterministic);
-  budget-exhausted and exhaustive outcomes are.
+  the wall-clock deadline (:mod:`repro.utils.deadline`) are never cached
+  (they are not deterministic); budget-exhausted and exhaustive outcomes
+  are.
 """
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
 from dataclasses import replace
 from itertools import product as cartesian_product
@@ -48,8 +50,8 @@ from repro.semantics.evaluator import EvalMemo, evaluate
 from repro.semantics.examples import ExampleSet
 from repro.sygus.problem import SyGuSProblem
 from repro.synth.outcome import SynthesisOutcome
+from repro.utils.deadline import expired
 from repro.utils.errors import SemanticsError
-from repro.utils.timing import Stopwatch
 
 __all__ = ["EnumerativeSynthesizer", "SynthesisOutcome"]
 
@@ -57,6 +59,9 @@ __all__ = ["EnumerativeSynthesizer", "SynthesisOutcome"]
 #: retains.  A CEGIS run touches a handful of example sets; the cap only
 #: matters for long-lived solver objects serving many problems.
 BANK_CAP = 32
+
+#: Candidates emitted between two reads of the wall-clock deadline.
+DEADLINE_STRIDE = 256
 
 
 def _grammar_key(grammar: RegularTreeGrammar) -> Hashable:
@@ -103,11 +108,9 @@ class EnumerativeSynthesizer:
         self,
         max_size: int = 12,
         max_terms: int = 200_000,
-        timeout_seconds: Optional[float] = None,
     ):
         self.max_size = max_size
         self.max_terms = max_terms
-        self.timeout_seconds = timeout_seconds
         self._banks: "OrderedDict[Hashable, _Bank]" = OrderedDict()
         self._reduced: "OrderedDict[Hashable, RegularTreeGrammar]" = OrderedDict()
         self._outcomes: "OrderedDict[Hashable, SynthesisOutcome]" = OrderedDict()
@@ -118,19 +121,19 @@ class EnumerativeSynthesizer:
         self, problem: SyGuSProblem, examples: ExampleSet
     ) -> SynthesisOutcome:
         """Find a term of the grammar consistent with the examples, if any."""
-        stopwatch = Stopwatch(self.timeout_seconds)
+        start = time.monotonic()
         grammar = problem.grammar
         if len(examples) == 0:
             # Any productive term works; enumerate the first one.
             for term in grammar.generate(max_size=self.max_size, limit=1):
-                return SynthesisOutcome(term, 1, stopwatch.elapsed())
-            return SynthesisOutcome(None, 0, stopwatch.elapsed(), exhausted=True)
+                return SynthesisOutcome(term, 1, time.monotonic() - start)
+            return SynthesisOutcome(None, 0, time.monotonic() - start, exhausted=True)
 
         bank_key = (_grammar_key(grammar), examples)
         outcome_key = (bank_key, self.max_size, self.max_terms)
         cached = self._cache_get(self._outcomes, outcome_key)
         if cached is not None:
-            hit = replace(cached, elapsed_seconds=stopwatch.elapsed())
+            hit = replace(cached, elapsed_seconds=time.monotonic() - start)
             # A cache hit did no enumeration work: its per-call counters are
             # zero (the CEGIS loop sums them across rounds).
             hit.details = {**cached.details, "cached": True, "generated": 0, "deduped": 0}
@@ -141,7 +144,7 @@ class EnumerativeSynthesizer:
             bank = _Bank(self._reduce(grammar), examples)
             self._cache_put(self._banks, bank_key, bank)
 
-        outcome = self._run(problem, bank, stopwatch)
+        outcome = self._run(problem, bank, start)
         if outcome.details.get("reason") != "timeout":
             self._cache_put(self._outcomes, outcome_key, outcome)
         return outcome
@@ -149,7 +152,7 @@ class EnumerativeSynthesizer:
     # -- enumeration -----------------------------------------------------------
 
     def _run(
-        self, problem: SyGuSProblem, bank: _Bank, stopwatch: Stopwatch
+        self, problem: SyGuSProblem, bank: _Bank, start: float
     ) -> SynthesisOutcome:
         # Counters are reported as per-call deltas over the (persistent)
         # bank's cumulative totals.
@@ -165,7 +168,7 @@ class EnumerativeSynthesizer:
             return SynthesisOutcome(
                 bank.first_solution[1],
                 bank.explored,
-                stopwatch.elapsed(),
+                time.monotonic() - start,
                 details=counters(),
             )
         grammar = bank.grammar
@@ -178,8 +181,9 @@ class EnumerativeSynthesizer:
                     # nonterminal of this size row.
                     continue
                 kept = self._new_terms(bank, nonterminal, size)
-                bank.terms_by[nonterminal][size] = kept
-                if nonterminal == grammar.start:
+                if kept is not None:
+                    bank.terms_by[nonterminal][size] = kept
+                if kept is not None and nonterminal == grammar.start:
                     for term, _signature in kept:
                         if term.sort != Sort.INT:
                             continue
@@ -188,15 +192,16 @@ class EnumerativeSynthesizer:
                             return SynthesisOutcome(
                                 term,
                                 bank.explored,
-                                stopwatch.elapsed(),
+                                time.monotonic() - start,
                                 details=counters(),
                             )
-                if bank.explored > self.max_terms or stopwatch.expired():
-                    reason = "timeout" if stopwatch.expired() else "budget"
+                out_of_time = kept is None or expired()
+                if bank.explored > self.max_terms or out_of_time:
+                    reason = "timeout" if out_of_time else "budget"
                     return SynthesisOutcome(
                         None,
                         bank.explored,
-                        stopwatch.elapsed(),
+                        time.monotonic() - start,
                         exhausted=False,
                         details={"reason": reason, **counters()},
                     )
@@ -204,23 +209,30 @@ class EnumerativeSynthesizer:
         return SynthesisOutcome(
             None,
             bank.explored,
-            stopwatch.elapsed(),
+            time.monotonic() - start,
             exhausted=True,
             details=counters(),
         )
 
     def _new_terms(
         self, bank: _Bank, nonterminal: Nonterminal, size: int
-    ) -> List[Tuple[Term, tuple]]:
+    ) -> Optional[List[Tuple[Term, tuple]]]:
         """All OE-new terms of ``nonterminal`` at exactly ``size``.
 
         Children come from strictly smaller, already-finished size tables,
-        so each table is computed once per bank lifetime.
+        so each table is computed once per bank lifetime.  ``None`` when the
+        deadline passed mid-row: the row is then undone, so a later pass
+        rebuilds it whole.
         """
         grammar = bank.grammar
-        examples = bank.examples
         seen = bank.seen[nonterminal]
         kept: List[Tuple[Term, tuple]] = []
+        explored, deduped = bank.explored, bank.deduped
+
+        def undo() -> None:
+            seen.difference_update(signature for _term, signature in kept)
+            bank.explored, bank.deduped = explored, deduped
+
         for production in grammar.productions_of(nonterminal):
             symbol = production.symbol
             arity = symbol.arity
@@ -228,7 +240,8 @@ class EnumerativeSynthesizer:
                 if size != 1:
                     continue
                 child_tuples: "List[Tuple[Term, ...]]" = [()]
-                self._emit(bank, symbol, child_tuples, seen, kept)
+                if not self._emit(bank, symbol, child_tuples, seen, kept):
+                    return undo()
                 continue
             remaining = size - 1
             if remaining < arity:
@@ -249,13 +262,17 @@ class EnumerativeSynthesizer:
                     tuple(choice[0] for choice in combo)
                     for combo in cartesian_product(*choices)
                 )
-                self._emit(bank, symbol, combos, seen, kept)
+                if not self._emit(bank, symbol, combos, seen, kept):
+                    return undo()
         return kept
 
-    def _emit(self, bank: _Bank, symbol, child_tuples, seen, kept) -> None:
+    def _emit(self, bank: _Bank, symbol, child_tuples, seen, kept) -> bool:
+        """Add the OE-new terms; False when the deadline passed first."""
         examples = bank.examples
         memo = bank.memo
-        for children in child_tuples:
+        for index, children in enumerate(child_tuples):
+            if not index % DEADLINE_STRIDE and expired():
+                return False
             term = Term(symbol, tuple(children))
             try:
                 signature = evaluate(term, examples, memo).values
@@ -267,6 +284,7 @@ class EnumerativeSynthesizer:
             seen.add(signature)
             kept.append((term, signature))
             bank.explored += 1
+        return True
 
     # -- helpers ---------------------------------------------------------------
 

@@ -11,7 +11,8 @@ Do not extend it — improvements belong in :mod:`repro.synth.enumerator`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import time
+from typing import Dict, List, Tuple
 
 from repro.grammar.alphabet import Sort
 from repro.grammar.rtg import Nonterminal
@@ -21,7 +22,6 @@ from repro.semantics.examples import ExampleSet
 from repro.sygus.problem import SyGuSProblem
 from repro.synth.outcome import SynthesisOutcome
 from repro.utils.errors import SemanticsError
-from repro.utils.timing import Stopwatch
 
 
 class ReferenceSynthesizer:
@@ -31,23 +31,21 @@ class ReferenceSynthesizer:
         self,
         max_size: int = 12,
         max_terms: int = 200_000,
-        timeout_seconds: Optional[float] = None,
     ):
         self.max_size = max_size
         self.max_terms = max_terms
-        self.timeout_seconds = timeout_seconds
 
     def synthesize(
         self, problem: SyGuSProblem, examples: ExampleSet
     ) -> SynthesisOutcome:
         """Find a term of the grammar consistent with the examples, if any."""
-        stopwatch = Stopwatch(self.timeout_seconds)
+        start = time.monotonic()
         grammar = problem.grammar
         if len(examples) == 0:
             # Any productive term works; enumerate the first one.
             for term in grammar.generate(max_size=self.max_size, limit=1):
-                return SynthesisOutcome(term, 1, stopwatch.elapsed())
-            return SynthesisOutcome(None, 0, stopwatch.elapsed(), exhausted=True)
+                return SynthesisOutcome(term, 1, time.monotonic() - start)
+            return SynthesisOutcome(None, 0, time.monotonic() - start, exhausted=True)
 
         # terms_by[nonterminal][size] = list of (term, signature)
         terms_by: Dict[Nonterminal, Dict[int, List[Tuple[Term, tuple]]]] = {
@@ -112,17 +110,17 @@ class ReferenceSynthesizer:
                         if term.sort != Sort.INT:
                             continue
                         if problem.satisfies_examples(term, examples):
-                            return SynthesisOutcome(term, explored, stopwatch.elapsed())
+                            return SynthesisOutcome(term, explored, time.monotonic() - start)
 
-                if explored > self.max_terms or stopwatch.expired():
+                if explored > self.max_terms:
                     return SynthesisOutcome(
                         None,
                         explored,
-                        stopwatch.elapsed(),
+                        time.monotonic() - start,
                         exhausted=False,
                         details={"reason": "budget"},
                     )
-        return SynthesisOutcome(None, explored, stopwatch.elapsed(), exhausted=True)
+        return SynthesisOutcome(None, explored, time.monotonic() - start, exhausted=True)
 
     def _emit(
         self,

@@ -32,8 +32,9 @@ from repro.unreal.approximate import check_examples_abstract
 from repro.unreal.clia import check_clia_examples
 from repro.unreal.lia import check_lia_examples
 from repro.unreal.result import CegisResult, CheckResult, Verdict
+from repro.unreal.result import DEADLINE, EXAMPLE_BUDGET, ITERATION_BUDGET, SOLVER_LIMIT
+from repro.utils.deadline import DeadlineExceeded, expired
 from repro.utils.errors import SolverLimitError
-from repro.utils.timing import Stopwatch
 
 
 #: Signature of an injected unrealizability checker (Alg. 2's "thread 2").
@@ -50,7 +51,6 @@ class NayConfig:
     example_high: int = 50
     max_iterations: int = 40
     max_random_examples: int = 6
-    timeout_seconds: Optional[float] = None
     synthesizer_max_size: int = 10
     synthesizer_max_terms: int = 50_000
     stratify: bool = True
@@ -66,7 +66,13 @@ class NayConfig:
 
 
 class NaySolver:
-    """The top-level NAY tool: returns two-sided answers or times out (§7)."""
+    """The top-level NAY tool: returns two-sided answers or gives up (§7).
+
+    The wall-clock budget is the ambient :mod:`repro.utils.deadline` scope:
+    ``TIMEOUT`` means it ran out; running out of rounds, random examples or
+    a solver limit ends the loop ``UNKNOWN``.  ``details["reason"]`` says
+    which.
+    """
 
     def __init__(self, config: Optional[NayConfig] = None):
         self.config = config or NayConfig()
@@ -106,7 +112,7 @@ class NaySolver:
     ) -> CegisResult:
         config = self.config
         rng = random.Random(config.seed)
-        stopwatch = Stopwatch(config.timeout_seconds)
+        start = time.monotonic()
 
         if initial_examples is not None and len(initial_examples) > 0:
             examples = initial_examples
@@ -120,79 +126,89 @@ class NaySolver:
         #: the ``enumerator_candidates_deduped`` solver stat.
         deduped = 0
         iterations = 0
-        for iterations in range(1, config.max_iterations + 1):
-            if stopwatch.expired():
-                return self._timeout(examples, iterations, stopwatch, deduped)
 
-            # Thread 2 of Alg. 2: the unrealizability check on E ∪ Er.
-            check_set = examples.union(random_examples)
-            try:
-                check = self.check_examples(problem, check_set)
-            except SolverLimitError:
-                return self._timeout(examples, iterations, stopwatch, deduped)
-            if check.verdict == Verdict.UNREALIZABLE:
-                grammar_stats = dict(check.details.pop("grammar_stats", None) or {})
-                grammar_stats["enumerator_candidates_deduped"] = deduped
-                return CegisResult(
-                    verdict=Verdict.UNREALIZABLE,
-                    examples=check_set,
-                    iterations=iterations,
-                    elapsed_seconds=stopwatch.elapsed(),
-                    num_examples=len(check_set),
-                    details={"check": check.details, "grammar_stats": grammar_stats},
-                    certificate=check.certificate,
-                )
-
-            # Thread 1 of Alg. 2: enumerative synthesis on E only.
-            outcome = self.synthesizer.synthesize(problem, examples)
-            if isinstance(outcome.details, dict):
-                # "deduped" is the per-call delta (cached rounds report 0).
-                deduped += int(outcome.details.get("deduped", 0) or 0)
-            if outcome.found:
-                verification = self.verifier.verify(problem, outcome.solution)
-                if verification.is_valid:
-                    return CegisResult(
-                        verdict=Verdict.REALIZABLE,
-                        examples=examples,
-                        solution=outcome.solution,
-                        iterations=iterations,
-                        elapsed_seconds=stopwatch.elapsed(),
-                        num_examples=len(examples),
-                        details={
-                            "grammar_stats": {
-                                "enumerator_candidates_deduped": deduped
-                            }
-                        },
-                    )
-                examples = examples.extended(verification.counterexample)
-                continue
-
-            # The check says realizable/unknown on the current examples and the
-            # synthesizer ran out of budget: add a random temporary example.
-            if len(random_examples) >= config.max_random_examples:
-                return self._timeout(examples, iterations, stopwatch, deduped)
-            random_examples = random_examples.union(
-                ExampleSet.random(
-                    problem.variables, 1, rng, config.example_low, config.example_high
-                )
+        def unfinished(reason: str) -> CegisResult:
+            # A budget that runs out together with the clock reports the clock.
+            if reason != DEADLINE and expired():
+                reason = DEADLINE
+            return CegisResult(
+                verdict=Verdict.TIMEOUT if reason == DEADLINE else Verdict.UNKNOWN,
+                examples=examples,
+                iterations=iterations,
+                elapsed_seconds=time.monotonic() - start,
+                num_examples=len(examples),
+                details={
+                    "reason": reason,
+                    "grammar_stats": {"enumerator_candidates_deduped": deduped},
+                },
             )
 
-        return self._timeout(examples, iterations, stopwatch, deduped)
+        try:
+            for iterations in range(1, config.max_iterations + 1):
+                if expired():
+                    return unfinished(DEADLINE)
 
-    def _timeout(
-        self,
-        examples: ExampleSet,
-        iterations: int,
-        stopwatch: Stopwatch,
-        deduped: int = 0,
-    ) -> CegisResult:
-        return CegisResult(
-            verdict=Verdict.TIMEOUT,
-            examples=examples,
-            iterations=iterations,
-            elapsed_seconds=stopwatch.elapsed(),
-            num_examples=len(examples),
-            details={
-                "grammar_stats": {"enumerator_candidates_deduped": deduped}
-            },
-        )
+                # Thread 2 of Alg. 2: the unrealizability check on E ∪ Er.
+                check_set = examples.union(random_examples)
+                try:
+                    check = self.check_examples(problem, check_set)
+                except SolverLimitError:
+                    return unfinished(SOLVER_LIMIT)
+                if check.verdict == Verdict.UNREALIZABLE:
+                    grammar_stats = dict(check.details.pop("grammar_stats", None) or {})
+                    grammar_stats["enumerator_candidates_deduped"] = deduped
+                    return CegisResult(
+                        verdict=Verdict.UNREALIZABLE,
+                        examples=check_set,
+                        iterations=iterations,
+                        elapsed_seconds=time.monotonic() - start,
+                        num_examples=len(check_set),
+                        details={
+                            "check": check.details,
+                            "grammar_stats": grammar_stats,
+                        },
+                        certificate=check.certificate,
+                    )
+
+                # Thread 1 of Alg. 2: enumerative synthesis on E only.
+                outcome = self.synthesizer.synthesize(problem, examples)
+                if isinstance(outcome.details, dict):
+                    # "deduped" is the per-call delta (cached rounds report 0).
+                    deduped += int(outcome.details.get("deduped", 0) or 0)
+                if outcome.found:
+                    verification = self.verifier.verify(problem, outcome.solution)
+                    if verification.is_valid:
+                        return CegisResult(
+                            verdict=Verdict.REALIZABLE,
+                            examples=examples,
+                            solution=outcome.solution,
+                            iterations=iterations,
+                            elapsed_seconds=time.monotonic() - start,
+                            num_examples=len(examples),
+                            details={
+                                "grammar_stats": {
+                                    "enumerator_candidates_deduped": deduped
+                                }
+                            },
+                        )
+                    examples = examples.extended(verification.counterexample)
+                    continue
+
+                # The check says realizable/unknown on the current examples and
+                # the synthesizer ran out of budget: add a random temporary
+                # example.
+                if len(random_examples) >= config.max_random_examples:
+                    return unfinished(EXAMPLE_BUDGET)
+                random_examples = random_examples.union(
+                    ExampleSet.random(
+                        problem.variables,
+                        1,
+                        rng,
+                        config.example_low,
+                        config.example_high,
+                    )
+                )
+        except DeadlineExceeded:
+            return unfinished(DEADLINE)
+
+        return unfinished(ITERATION_BUDGET)

@@ -14,6 +14,12 @@ trust boundary, so they are free to use the solver:
   interpretation (the checker's refutation-pruned interval hulls instead of
   per-vector solver feasibility queries) so that the claimed Boolean values
   contain the checker's solver-free comparison transfer.
+
+Builders run with the wall-clock deadline lifted (:func:`repro.utils.deadline.lifted`):
+they turn any exception into "no certificate", so a deadline firing
+mid-build would ship an ``unrealizable`` verdict without its proof.  A
+verdict that lands late this way stays definitive (see
+:func:`repro.api.facade.apply_timeout_policy`).
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from repro.logic.formulas import atom_eq, atom_ge
 from repro.logic.terms import LinearExpression
 from repro.semantics.examples import ExampleSet
 from repro.sygus.problem import SyGuSProblem
+from repro.utils.deadline import lifted
 from repro.utils.vectors import IntVector
 
 
@@ -56,12 +63,14 @@ def _validated(
     return payload if check_certificate(problem, payload) else None
 
 
+@lifted()
 def build_unproductive_certificate(
     problem: SyGuSProblem,
 ) -> Optional[Dict[str, object]]:
     return _validated(problem, _base_payload("unproductive", None))
 
 
+@lifted()
 def build_abstract_certificate(
     problem: SyGuSProblem,
     examples: ExampleSet,
@@ -91,6 +100,7 @@ def build_abstract_certificate(
     return _validated(problem, payload)
 
 
+@lifted()
 def build_chc_certificate(
     problem: SyGuSProblem, abstract_certificate: Optional[Dict[str, object]]
 ) -> Optional[Dict[str, object]]:
@@ -234,6 +244,7 @@ def _semilinear_payload(
     return _validated(problem, payload)
 
 
+@lifted()
 def build_lia_certificate(
     problem: SyGuSProblem,
     examples: ExampleSet,
@@ -245,6 +256,7 @@ def build_lia_certificate(
     return _semilinear_payload(problem, examples, dict(values), {})
 
 
+@lifted()
 def build_clia_certificate(
     problem: SyGuSProblem, examples: ExampleSet
 ) -> Optional[Dict[str, object]]:

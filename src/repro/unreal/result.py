@@ -24,6 +24,16 @@ class Verdict(enum.Enum):
     TIMEOUT = "timeout"
 
 
+#: Why a run ended without a definitive verdict, reported as
+#: ``details["reason"]``.  Only :data:`DEADLINE` yields ``TIMEOUT``; the
+#: others yield ``UNKNOWN``.
+DEADLINE = "deadline"  # the wall-clock budget ran out
+ITERATION_BUDGET = "iteration_budget"  # Alg. 2 ran out of CEGIS rounds
+EXAMPLE_BUDGET = "example_budget"  # no more examples may be added or taken
+SOLVER_LIMIT = "solver_limit"  # the logic core hit a node/step budget
+ABSTRACTION = "abstraction"  # an approximate abstraction could not refute
+
+
 @dataclass
 class CheckResult:
     """Outcome of one unrealizability check over a fixed example set."""

@@ -1,4 +1,4 @@
-"""Small shared utilities: interning, integer vectors, errors, timing."""
+"""Small shared utilities: interning, integer vectors, errors."""
 
 from repro.utils.errors import (
     ReproError,
@@ -11,7 +11,6 @@ from repro.utils.errors import (
 )
 from repro.utils.intern import Interner, intern_stats, interner
 from repro.utils.vectors import IntVector, BoolVector
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "ReproError",
@@ -26,5 +25,4 @@ __all__ = [
     "intern_stats",
     "IntVector",
     "BoolVector",
-    "Stopwatch",
 ]

@@ -41,7 +41,7 @@ from repro.suites import all_benchmarks
 from repro.suites.base import bounded_ite_grammar, bounded_plus_grammar, max_spec
 from repro.sygus.problem import SyGuSProblem
 from repro.unreal.approximate import check_examples_abstract, solve_abstract_gfa
-from repro.unreal.result import Verdict
+from repro.unreal.result import EXAMPLE_BUDGET, Verdict
 from repro.utils.errors import UnknownDomainError
 from repro.utils.vectors import IntVector
 
@@ -268,7 +268,7 @@ class TestPowersetDomain:
         )
         result = check_examples_abstract(problem, examples, domain="powerset")
         assert result.verdict == Verdict.UNKNOWN
-        assert result.details["reason"] == "example set exceeds the powerset budget"
+        assert result.details["reason"] == EXAMPLE_BUDGET
 
     def test_inexact_solve_never_claims_realizable(self):
         from repro.suites.base import const_restricted_grammar, scaled_variable_spec
@@ -366,7 +366,7 @@ def suite_with_examples():
 
 @pytest.fixture(scope="session")
 def naysl_verdicts(suite_with_examples):
-    engine = create_engine("naySL", timeout_seconds=120)
+    engine = create_engine("naySL")
     return {
         str(benchmark): engine.check(benchmark.problem, examples).verdict
         for benchmark, examples in suite_with_examples
@@ -378,7 +378,7 @@ def test_domain_engines_sound_on_full_suite(
     engine_name, suite_with_examples, naysl_verdicts
 ):
     """nayInt/nayFin never contradict exact naySL on any suite benchmark."""
-    engine = create_engine(engine_name, timeout_seconds=120)
+    engine = create_engine(engine_name)
     decided = 0
     for benchmark, examples in suite_with_examples:
         verdict = engine.check(benchmark.problem, examples).verdict
@@ -431,9 +431,9 @@ def test_staged_matches_portfolio_verdicts_with_fewer_exact_calls(
 def test_domain_engines_sound_on_single_example_prefixes(naysl_verdicts):
     """The realizable direction: single-example sets make naySL answer
     REALIZABLE often; the approximate engines must never refute those."""
-    engine_int = create_engine("nayInt", timeout_seconds=120)
-    engine_fin = create_engine("nayFin", timeout_seconds=120)
-    exact = create_engine("naySL", timeout_seconds=120)
+    engine_int = create_engine("nayInt")
+    engine_fin = create_engine("nayFin")
+    exact = create_engine("naySL")
     realizable_seen = 0
     for benchmark in all_benchmarks(include_scaling=False)[::4]:
         examples = ExampleSet().resized(benchmark.problem.variables, 1, seed=1)

@@ -1,4 +1,4 @@
-"""Tests for the CLI, the SyGuS printer on generated benchmarks, and timing utilities."""
+"""Tests for the CLI and the SyGuS printer on generated benchmarks."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.suites import all_benchmarks, get_benchmark
 from repro.sygus import parse_sygus, print_sygus
-from repro.utils.timing import Stopwatch
 
 #: A slice of benchmarks whose problems are exported to SyGuS-IF and re-parsed.
 ROUNDTRIP_BENCHMARKS = [
@@ -69,13 +68,4 @@ class TestCli:
         assert cli_main(["experiments", "fig4"]) == 0
         captured = capsys.readouterr()
         assert "stratified_seconds" in captured.out
-
-
-class TestTiming:
-    def test_stopwatch_deadline(self):
-        stopwatch = Stopwatch(timeout_seconds=1000)
-        assert not stopwatch.expired()
-        assert stopwatch.remaining() > 0
-        assert Stopwatch(timeout_seconds=0).expired()
-        assert Stopwatch().remaining() is None
 

@@ -43,9 +43,9 @@ class TestRegistry:
         assert get_engine_class("naySL") is NaySL
 
     def test_create_engine_passes_knobs(self):
-        engine = create_engine("naySL", seed=7, timeout_seconds=12.0, stratify=False)
+        engine = create_engine("naySL", seed=7, max_iterations=12, stratify=False)
         assert engine.seed == 7
-        assert engine.timeout_seconds == 12.0
+        assert engine.max_iterations == 12
         assert engine.name == "naySL-nostrat"
 
     def test_unknown_engine_error(self):
@@ -57,10 +57,10 @@ class TestRegistry:
 
     def test_configure_returns_new_engine(self):
         engine = create_engine("nayHorn", seed=0)
-        tuned = engine.configure(timeout_seconds=5.0)
+        tuned = engine.configure(max_iterations=5)
         assert tuned is not engine
-        assert tuned.timeout_seconds == 5.0
-        assert engine.timeout_seconds is None  # original untouched
+        assert tuned.max_iterations == 5
+        assert engine.max_iterations == 40  # original untouched
         with pytest.raises(ValueError):
             engine.configure(no_such_knob=1)
 

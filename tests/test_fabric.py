@@ -262,7 +262,7 @@ class TestSupervisorLifecycle:
 
     def test_cancelled_job_leaves_no_zombies(self):
         fabric = Supervisor(1, warm=False, name="t-zombie")
-        job = fabric.submit(request("hang@*"), soft_timeout=5.0)
+        job = fabric.submit(request("hang@*", timeout=5.0))
         doomed = job.worker.pid
         fabric.cancel(job)  # kills the hung worker, spawns a replacement
         replacement = fabric.worker_pids()
@@ -359,7 +359,7 @@ class TestTimeouts:
     def test_hung_worker_hits_the_harvest_deadline(self):
         fabric = Supervisor(1, warm=False, name="t-hang")
         try:
-            job = fabric.submit(request("hang@*"), soft_timeout=5.0)
+            job = fabric.submit(request("hang@*", timeout=5.0))
             with pytest.raises(FabricTimeoutError):
                 fabric.harvest(job, timeout=1.0)
             fabric.cancel(job)

@@ -264,27 +264,30 @@ class TestFingerprintSemantics:
             {**base, "tags": {"prune": "reduce"}}
         )
 
-    def test_engine_store_key_ignores_timeout_and_fault_tags(self):
-        problem = get_benchmark("plane1").problem
+    def test_engine_store_key_ignores_timeout_and_fault_tags(self, tmp_path):
+        benchmark = get_benchmark("plane1")
+        problem = benchmark.problem
+        from repro.api.facade import run_engine
         from repro.semantics.examples import ExampleSet
 
         examples = ExampleSet()
-        key = engine_store_key(
-            "naySL",
-            "check",
-            problem,
-            examples,
-            knobs={"timeout_seconds": 5.0, "seed": 0},
-        )
+        key = engine_store_key("naySL", "check", problem, examples, knobs={"seed": 0})
         twin = engine_store_key(
             "naySL",
             "check",
             problem,
             examples,
-            knobs={"timeout_seconds": 90.0, "seed": 0},
+            knobs={"seed": 0},
             tags={"faults": "slow@*:1"},
         )
         assert key == twin
+        # The budget is no engine knob: runs under different timeouts share
+        # one entry.
+        install_result_store(ResultStore(tmp_path / "s.sqlite"))
+        witness = benchmark.witness_examples
+        run_engine("naySL", "check", problem, witness, timeout=5.0)
+        again = run_engine("naySL", "check", problem, witness, timeout=90.0)
+        assert again.solver_stats.get("store_hits") == 1
         other = engine_store_key(
             "naySL",
             "check",

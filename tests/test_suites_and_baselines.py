@@ -10,6 +10,7 @@ from repro.semantics.examples import ExampleSet
 from repro.suites import all_benchmarks, benchmarks_by_suite, get_benchmark
 from repro.suites.scaling import chain_grammar, example_set, scaling_suite
 from repro.unreal.result import Verdict
+from repro.utils.deadline import deadline
 from repro.utils.errors import ReproError
 from tests.conftest import brute_force_witness
 
@@ -140,7 +141,8 @@ class TestBaselines:
 
     def test_nay_sl_cegis_on_benchmark(self):
         benchmark = get_benchmark("plane1", "LimitedPlus")
-        result = NaySL(seed=0, timeout_seconds=120).solve(benchmark.problem)
+        with deadline(120):
+            result = NaySL(seed=0).solve(benchmark.problem)
         assert result.verdict == Verdict.UNREALIZABLE
 
     def test_tool_names(self):

@@ -16,6 +16,7 @@ from repro.unreal.cegis import NayConfig, NaySolver
 from repro.unreal.clia import check_clia_examples, solve_clia_gfa
 from repro.unreal.lia import check_lia_examples, solve_lia_gfa
 from repro.unreal.result import Verdict
+from repro.utils.deadline import deadline
 from tests.conftest import brute_force_witness
 
 
@@ -230,8 +231,9 @@ class TestSynthesizerAndVerifier:
 
 class TestCegisLoop:
     def test_unrealizable_running_example(self, running_example_problem):
-        solver = NaySolver(NayConfig(mode="sl", seed=0, timeout_seconds=60))
-        result = solver.solve(running_example_problem)
+        solver = NaySolver(NayConfig(mode="sl", seed=0))
+        with deadline(60):
+            result = solver.solve(running_example_problem)
         assert result.verdict == Verdict.UNREALIZABLE
         assert result.num_examples >= 1
 
@@ -239,19 +241,22 @@ class TestCegisLoop:
         problem = SyGuSProblem(
             "threex", running_example_grammar, scaled_variable_spec("x", 3, 0)
         )
-        solver = NaySolver(NayConfig(mode="sl", seed=0, timeout_seconds=60))
-        result = solver.solve(problem)
+        solver = NaySolver(NayConfig(mode="sl", seed=0))
+        with deadline(60):
+            result = solver.solve(problem)
         assert result.verdict == Verdict.REALIZABLE
         assert result.solution is not None
         assert Verifier().verify(problem, result.solution).is_valid
 
     def test_horn_mode_is_sound(self, running_example_problem):
-        solver = NaySolver(NayConfig(mode="horn", seed=0, timeout_seconds=60))
-        result = solver.solve(running_example_problem)
-        assert result.verdict in (Verdict.UNREALIZABLE, Verdict.TIMEOUT)
+        solver = NaySolver(NayConfig(mode="horn", seed=0))
+        with deadline(60):
+            result = solver.solve(running_example_problem)
+        assert result.verdict in (Verdict.UNREALIZABLE, Verdict.UNKNOWN, Verdict.TIMEOUT)
 
     def test_initial_examples_are_respected(self, running_example_problem):
         initial = ExampleSet.of({"x": 1})
-        solver = NaySolver(NayConfig(mode="sl", seed=3, timeout_seconds=60))
-        result = solver.solve(running_example_problem, initial_examples=initial)
+        solver = NaySolver(NayConfig(mode="sl", seed=3))
+        with deadline(60):
+            result = solver.solve(running_example_problem, initial_examples=initial)
         assert result.verdict == Verdict.UNREALIZABLE
